@@ -163,6 +163,42 @@ std::string utc_timestamp() {
   return buf;
 }
 
+/// google-benchmark writes the bare tokens NaN / Infinity (signed) for
+/// undefined aggregates, e.g. the cv of a counter that is 0 in every
+/// repetition. They are not JSON; outside strings they become null, which
+/// ceal_report skips like any non-numeric member.
+std::string null_non_finite(const std::string& text) {
+  static constexpr std::string_view kTokens[] = {"-Infinity", "Infinity",
+                                                 "-NaN", "NaN"};
+  std::string out;
+  out.reserve(text.size());
+  bool in_string = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_string) {
+      out += c;
+      if (c == '\\' && i + 1 < text.size()) {
+        out += text[++i];
+      } else if (c == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    if (c == '"') in_string = true;
+    bool replaced = false;
+    for (const std::string_view token : kTokens) {
+      if (text.compare(i, token.size(), token) == 0) {
+        out += "null";
+        i += token.size() - 1;
+        replaced = true;
+        break;
+      }
+    }
+    if (!replaced) out += c;
+  }
+  return out;
+}
+
 }  // namespace
 
 void annotate_bench_json(const std::string& path) {
@@ -171,7 +207,7 @@ void annotate_bench_json(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   in.close();
-  json::Value root = json::Value::parse(buffer.str());
+  json::Value root = json::Value::parse(null_non_finite(buffer.str()));
   CEAL_EXPECT_MSG(root.is_object() && root.contains("benchmarks"),
                   "'" + path + "' is not a google-benchmark JSON file");
 

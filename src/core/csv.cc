@@ -6,25 +6,10 @@
 
 namespace ceal {
 
-CsvWriter::CsvWriter(const std::string& path,
-                     const std::vector<std::string>& header)
-    : out_(path), columns_(header.size()) {
-  CEAL_EXPECT(!header.empty());
-  if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
-  write_row(header);
-  rows_ = 0;  // header does not count as a data row
-}
-
-void CsvWriter::add_row(const std::vector<std::string>& cells) {
-  CEAL_EXPECT_MSG(cells.size() == columns_, "CSV row width mismatch");
-  write_row(cells);
-  ++rows_;
-}
-
-std::string CsvWriter::escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
+std::string csv_escape(const std::string& cell) {
+  if (cell.find_first_of(",\"\n\r") == std::string::npos) return cell;
   std::string quoted = "\"";
-  for (char ch : cell) {
+  for (const char ch : cell) {
     if (ch == '"') quoted += '"';
     quoted += ch;
   }
@@ -32,12 +17,26 @@ std::string CsvWriter::escape(const std::string& cell) {
   return quoted;
 }
 
-void CsvWriter::write_row(const std::vector<std::string>& cells) {
+void write_csv_row(std::ostream& os, const std::vector<std::string>& cells) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << escape(cells[i]);
+    if (i) os << ',';
+    os << csv_escape(cells[i]);
   }
-  out_ << '\n';
+  os << '\n';
+}
+
+CsvWriter::CsvWriter(const std::string& path,
+                     const std::vector<std::string>& header)
+    : out_(path), columns_(header.size()) {
+  CEAL_EXPECT(!header.empty());
+  if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
+  write_csv_row(out_, header);
+}
+
+void CsvWriter::add_row(const std::vector<std::string>& cells) {
+  CEAL_EXPECT_MSG(cells.size() == columns_, "CSV row width mismatch");
+  write_csv_row(out_, cells);
+  ++rows_;
 }
 
 }  // namespace ceal

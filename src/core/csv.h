@@ -3,10 +3,21 @@
 #pragma once
 
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
 namespace ceal {
+
+/// RFC 4180 cell quoting: a cell containing a separator, a quote, or
+/// either line-break character (a bare \r corrupts the record just as \n
+/// does for consumers that split on CRLF) is double-quoted with embedded
+/// quotes doubled; any other cell is returned unchanged.
+std::string csv_escape(const std::string& cell);
+
+/// Writes `cells` as one CSV record (csv_escape'd, comma-separated,
+/// '\n'-terminated).
+void write_csv_row(std::ostream& os, const std::vector<std::string>& cells);
 
 class CsvWriter {
  public:
@@ -20,9 +31,6 @@ class CsvWriter {
   std::size_t rows_written() const { return rows_; }
 
  private:
-  static std::string escape(const std::string& cell);
-  void write_row(const std::vector<std::string>& cells);
-
   std::ofstream out_;
   std::size_t columns_;
   std::size_t rows_ = 0;

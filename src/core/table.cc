@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "core/csv.h"
 #include "core/error.h"
 
 namespace ceal {
@@ -51,28 +52,8 @@ void Table::print(std::ostream& os) const {
 }
 
 void Table::to_csv(std::ostream& os) const {
-  const auto escape = [](const std::string& cell) {
-    // RFC 4180: quote cells containing separators, quotes, or either
-    // line-break character (a bare \r corrupts the record just as \n
-    // does for consumers that split on CRLF).
-    if (cell.find_first_of(",\"\n\r") == std::string::npos) return cell;
-    std::string out = "\"";
-    for (const char c : cell) {
-      if (c == '"') out += '"';
-      out += c;
-    }
-    out += '"';
-    return out;
-  };
-  const auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) os << ',';
-      os << escape(row[c]);
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
+  write_csv_row(os, header_);
+  for (const auto& row : rows_) write_csv_row(os, row);
 }
 
 std::ostream& operator<<(std::ostream& os, const Table& t) {

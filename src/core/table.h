@@ -31,8 +31,8 @@ class Table {
   /// Renders with a header underline and two-space column gaps.
   void print(std::ostream& os) const;
 
-  /// Writes header + rows as CSV (cells containing commas, quotes, or
-  /// newlines are double-quoted with embedded quotes doubled). Used by
+  /// Writes header + rows as CSV, one write_csv_row per row (see
+  /// core/csv.h for the quoting rules). Used by
   /// `ceal_trace --csv` report output.
   void to_csv(std::ostream& os) const;
 

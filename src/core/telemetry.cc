@@ -180,9 +180,9 @@ void BufferTraceSink::write(const TraceEvent& event) {
 }
 
 std::span<const double> histogram_upper_bounds() {
-  static const std::array<double, kHistogramBounds> bounds = [] {
-    std::array<double, kHistogramBounds> b{};
-    for (std::size_t k = 0; k < kHistogramBounds; ++k) {
+  static const std::array<double, kBucketBounds> bounds = [] {
+    std::array<double, kBucketBounds> b{};
+    for (std::size_t k = 0; k < kBucketBounds; ++k) {
       b[k] = std::pow(10.0, static_cast<double>(k) / 4.0 - 9.0);
     }
     return b;
@@ -216,7 +216,7 @@ void HistogramStats::observe(double value) {
   }
   ++count;
   sum += value;
-  if (buckets.empty()) buckets.assign(kHistogramBuckets, 0);
+  if (buckets.empty()) buckets.assign(kBucketCount, 0);
   ++buckets[histogram_bucket_index(value)];
 }
 
@@ -231,7 +231,7 @@ void HistogramStats::merge(const HistogramStats& other) {
   }
   count += other.count;
   sum += other.sum;
-  if (buckets.empty()) buckets.assign(kHistogramBuckets, 0);
+  if (buckets.empty()) buckets.assign(kBucketCount, 0);
   for (std::size_t i = 0; i < other.buckets.size(); ++i) {
     buckets[i] += other.buckets[i];
   }

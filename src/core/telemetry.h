@@ -193,8 +193,8 @@ struct SpanStats {
 /// one overflow bucket. One fixed layout means any two histograms merge
 /// bucket-by-bucket and the Prometheus exposition needs no per-metric
 /// configuration.
-inline constexpr std::size_t kHistogramBounds = 73;
-inline constexpr std::size_t kHistogramBuckets = kHistogramBounds + 1;
+inline constexpr std::size_t kBucketBounds = 73;
+inline constexpr std::size_t kBucketCount = kBucketBounds + 1;
 
 /// The inclusive (`le`) upper edges, ascending. Computed once.
 std::span<const double> histogram_upper_bounds();
@@ -210,7 +210,7 @@ struct HistogramStats {
   double sum = 0.0;
   double min = 0.0;  ///< Meaningful only when count > 0.
   double max = 0.0;
-  /// kHistogramBuckets entries; empty until the first observation.
+  /// kBucketCount entries; empty until the first observation.
   std::vector<std::uint64_t> buckets;
 
   void observe(double value);

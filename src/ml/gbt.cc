@@ -69,16 +69,13 @@ void GradientBoostedTrees::fit(const Dataset& data, ceal::Rng& rng) {
   constexpr double kUntrained = std::numeric_limits<double>::quiet_NaN();
   std::vector<double> leaf_values(n);
 
-  // Feature binning depends only on the data, so the histogram and
-  // quantized trainers bin once here and every round reuses the cache.
-  std::optional<HistogramCache> hist_cache;
+  // Feature binning depends only on the data, so the quantized trainer
+  // bins once here and every round reuses the cache.
   std::optional<QuantizedMatrix> quantized_cache;
   // Tree-builder scratch (histogram buffers, reciprocal table) also
   // survives across rounds; each round's builder reuses it in place.
   std::optional<QuantizedWorkspace> quantized_ws;
-  if (params_.tree.method == TreeMethod::kHist) {
-    hist_cache.emplace(data, params_.tree.max_bins);
-  } else if (params_.tree.method == TreeMethod::kQuantized) {
+  if (params_.tree.method == TreeMethod::kQuantized) {
     telemetry::ScopedCausalSpan span(telemetry_, "gbt.quantize");
     quantized_cache.emplace(data, params_.tree.max_bins);
     quantized_ws.emplace();
@@ -103,8 +100,7 @@ void GradientBoostedTrees::fit(const Dataset& data, ceal::Rng& rng) {
     if (rows_per_round != n) {
       std::fill(leaf_values.begin(), leaf_values.end(), kUntrained);
     }
-    tree.fit_gradients(data, rows, grad, hess, rng, &leaf_values,
-                       hist_cache ? &*hist_cache : nullptr, telemetry_,
+    tree.fit_gradients(data, rows, grad, hess, rng, &leaf_values, telemetry_,
                        quantized_cache ? &*quantized_cache : nullptr,
                        quantized_ws ? &*quantized_ws : nullptr);
     for (std::size_t i = 0; i < n; ++i) {

@@ -49,7 +49,7 @@ double score(double g_sum, double h_sum, double lambda) {
   return g_sum * g_sum / (h_sum + lambda);
 }
 
-/// Same tie epsilon as the exact and histogram split finders (tree.cc):
+/// Same tie epsilon as the exact split finder (tree.cc):
 /// gains within it are ties and the incumbent (lower feature index,
 /// earlier bin) wins.
 constexpr double kGainEps = 1e-12;
@@ -58,17 +58,59 @@ constexpr double kGainEps = 1e-12;
 /// units are worth fanning out to the thread pool.
 constexpr std::size_t kParallelLevelWork = 2048;
 
-/// Hard cap so bin indices fit the uint8 columns.
-constexpr std::size_t kMaxQuantizedBins = 256;
-
 }  // namespace
+
+FeatureQuantiles quantile_bins(std::span<const double> sorted_vals,
+                               std::size_t max_bins) {
+  const std::size_t n = sorted_vals.size();
+  FeatureQuantiles fb;
+  std::size_t distinct = n == 0 ? 0 : 1;
+  for (std::size_t k = 1; k < n; ++k) {
+    if (sorted_vals[k] != sorted_vals[k - 1]) ++distinct;
+  }
+  if (distinct <= max_bins) {
+    // One bin per distinct value: the candidate set (midpoints between
+    // adjacent values) matches the exact-greedy search.
+    fb.bin_max.reserve(distinct);
+    for (std::size_t k = 0; k < n; ++k) {
+      if (k == 0 || sorted_vals[k] != sorted_vals[k - 1]) {
+        fb.bin_max.push_back(sorted_vals[k]);
+      }
+    }
+  } else {
+    // Quantile cuts: bin edges at ranks b*n/max_bins, deduplicated so
+    // heavy duplicates collapse into one bin.
+    fb.bin_max.reserve(max_bins);
+    for (std::size_t b = 1; b < max_bins; ++b) {
+      const double edge = sorted_vals[(b * n) / max_bins];
+      if (fb.bin_max.empty() || edge != fb.bin_max.back()) {
+        fb.bin_max.push_back(edge);
+      }
+    }
+    if (fb.bin_max.empty() || sorted_vals.back() != fb.bin_max.back()) {
+      fb.bin_max.push_back(sorted_vals.back());
+    }
+  }
+
+  fb.split_value.resize(fb.bin_max.empty() ? 0 : fb.bin_max.size() - 1);
+  for (std::size_t b = 0; b + 1 < fb.bin_max.size(); ++b) {
+    const double lo = fb.bin_max[b];
+    // Smallest training value of the next bin: the first sorted value
+    // above this bin's edge.
+    const double hi = *std::upper_bound(sorted_vals.begin(),
+                                        sorted_vals.end(), lo);
+    double mid = lo + 0.5 * (hi - lo);
+    if (!(mid < hi)) mid = lo;  // rounding collapse: stay left of hi
+    fb.split_value[b] = mid;
+  }
+  return fb;
+}
 
 QuantizedMatrix::QuantizedMatrix(const Dataset& data, std::size_t max_bins)
     : n_rows_(data.size()),
       features_(data.n_features()),
       binned_(data.n_features() * data.size()) {
-  CEAL_EXPECT(max_bins >= 2 && max_bins <= 65536);
-  const std::size_t bins = std::min(max_bins, kMaxQuantizedBins);
+  CEAL_EXPECT(max_bins >= 2 && max_bins <= kMaxBins);
   const std::size_t n = n_rows_;
   const auto bin_one = [&](std::size_t j) {
     std::vector<double> vals(n);
@@ -76,8 +118,8 @@ QuantizedMatrix::QuantizedMatrix(const Dataset& data, std::size_t max_bins)
     std::sort(vals.begin(), vals.end());
 
     FeatureQuantiles& fb = features_[j];
-    fb = quantile_bins(vals, bins);
-    CEAL_ENSURE(fb.bin_max.size() <= kMaxQuantizedBins);
+    fb = quantile_bins(vals, max_bins);
+    CEAL_ENSURE(fb.bin_max.size() <= kMaxBins);
 
     std::uint8_t* col = binned_.data() + j * n;
     for (std::size_t k = 0; k < n; ++k) {

@@ -2,17 +2,15 @@
 //
 // A QuantizedMatrix is the structure-of-arrays counterpart of the
 // row-major Dataset: per-feature quantile bin edges are computed once
-// (same cuts as HistogramCache, see ml::quantile_bins) and every feature
-// value is packed to a uint8 bin index stored in a contiguous per-feature
-// column. An ensemble fit quantizes once and shares the matrix across
-// all boosting rounds.
+// (ml::quantile_bins) and every feature value is packed to a uint8 bin
+// index stored in a contiguous per-feature column. An ensemble fit
+// quantizes once and shares the matrix across all boosting rounds.
 //
 // QuantizedTreeBuilder grows one tree over the packed columns in level
-// order (breadth-first). Compared to the recursive kHist builder it
-// removes every per-(node, feature) allocation: histograms live in two
-// reusable scratch buffers (current and previous level), accumulation
-// walks rows and reads each row's bin indices from a packed row-major
-// mirror in one load, and each
+// order (breadth-first) without any per-(node, feature) allocation:
+// histograms live in two reusable scratch buffers (current and previous
+// level), accumulation walks rows and reads each row's bin indices from
+// a packed row-major mirror in one load, and each
 // bin update is one fused gradient+count accumulation (hessians are
 // tracked separately only when they are not identically 1.0 — boosting
 // with squared error always passes h_i = 1, where the per-bin hessian is
@@ -35,11 +33,11 @@
 // same prefix sums as the nearest occupied boundary below it, so its
 // gain is a tie the incumbent (earlier bin) already holds.
 //
-// Split candidates, gain formula, tie handling (kGainEps, lowest feature
-// index), and all TreeParams constraints match kHist exactly; predictions
-// differ from kHist only by the last-ulp float error that histogram
-// subtraction introduces, and only when max_bins <= 256 keeps the two
-// candidate sets identical.
+// The gain formula, tie handling (kGainEps, lowest feature index), and
+// all TreeParams constraints match kExact; when every feature has at
+// most max_bins distinct values the candidate thresholds match too, and
+// predictions differ from kExact only by the last-ulp float error that
+// histogram subtraction introduces.
 #pragma once
 
 #include <cstddef>
@@ -53,6 +51,23 @@
 #include "ml/tree.h"
 
 namespace ceal::ml {
+
+/// Quantile binning of one feature: `bin_max[b]` is the largest training
+/// value of bin b (ascending) and `split_value[b]` the candidate
+/// threshold between bins b and b+1, satisfying
+/// max(bin b) <= split_value[b] < min(bin b+1) — so partitioning by bin
+/// index equals partitioning by `value <= split_value[b]`.
+struct FeatureQuantiles {
+  std::vector<double> split_value;  ///< size bin_max.size() - 1
+  std::vector<double> bin_max;
+};
+
+/// Quantile cuts of one feature's sorted values into at most `max_bins`
+/// bins — the binning rule of QuantizedMatrix. When the feature has <=
+/// max_bins distinct values every value gets its own bin (the kExact
+/// candidate set).
+FeatureQuantiles quantile_bins(std::span<const double> sorted_vals,
+                               std::size_t max_bins);
 
 /// Growable scratch of uninitialised storage. The histogram buffers are
 /// governed by occupancy bitmaps — bins without a set bit are never
@@ -87,8 +102,8 @@ class ScratchBuffer {
 /// sample — so it is computed once per ensemble fit.
 class QuantizedMatrix {
  public:
-  /// Quantile-bins every feature of `data` into at most
-  /// min(max_bins, 256) bins (uint8 indices). 2 <= max_bins <= 65536.
+  /// Quantile-bins every feature of `data` into at most `max_bins` bins
+  /// (uint8 indices). 2 <= max_bins <= kMaxBins.
   QuantizedMatrix(const Dataset& data, std::size_t max_bins);
 
   std::size_t n_rows() const { return n_rows_; }

@@ -53,7 +53,6 @@ std::string next_line(std::istream& is) {
 std::string method_name(TreeMethod m) {
   switch (m) {
     case TreeMethod::kExact: return "exact";
-    case TreeMethod::kHist: return "hist";
     case TreeMethod::kQuantized: return "quantized";
   }
   CEAL_EXPECT_MSG(false, "unknown tree method");
@@ -62,8 +61,10 @@ std::string method_name(TreeMethod m) {
 
 TreeMethod parse_method(const std::string& name) {
   if (name == "exact") return TreeMethod::kExact;
-  if (name == "hist") return TreeMethod::kHist;
-  if (name == "quantized") return TreeMethod::kQuantized;
+  // Files written before the histogram trainer was folded into the
+  // quantized one say "hist"; both search the same quantile-bin
+  // candidates, and loading only reads the stored trees.
+  if (name == "quantized" || name == "hist") return TreeMethod::kQuantized;
   CEAL_EXPECT_MSG(false, "unknown tree method in model file: " + name);
   return TreeMethod::kExact;
 }
@@ -122,6 +123,9 @@ LoadedGbt load_gbt(std::istream& is) {
     CEAL_EXPECT_MSG(tag == "params" && !params_line.fail() &&
                         (compiled == 0 || compiled == 1),
                     "malformed params line in model file");
+    CEAL_EXPECT_MSG(max_bins >= 2 && max_bins <= kMaxBins,
+                    "model file max_bins " + std::to_string(max_bins) +
+                        " outside [2, " + std::to_string(kMaxBins) + "]");
     params.tree.method = parse_method(method);
     params.tree.max_bins = max_bins;
     params.compile_predictor = compiled == 1;

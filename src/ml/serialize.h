@@ -14,10 +14,12 @@
 // the model departs from the v1 defaults (so default-path files stay
 // byte-identical v1):
 //
-//   params <exact|hist|quantized> <max_bins> <compiled 0|1>
+//   params <exact|quantized> <max_bins> <compiled 0|1>
 //
 // The loader accepts both versions; a v2 params line reconstructs the
-// training method and recompiles the flat predictor on load.
+// training method and recompiles the flat predictor on load. Older files
+// may name the retired histogram trainer as "hist"; it loads as
+// "quantized". max_bins must lie in [2, 256].
 //
 // Only GradientBoostedTrees is serialisable — it is the model every
 // tuner ships. Trees expose their node tables through

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <optional>
 
+#include "tests/temp_path.h"
+
 namespace ceal {
 namespace {
 
@@ -22,7 +24,7 @@ bool exists(const std::string& path) {
 
 class AtomicFileTest : public ::testing::Test {
  protected:
-  AtomicFileTest() : path_(::testing::TempDir() + "ceal_atomic_test.txt") {
+  AtomicFileTest() : path_(testutil::test_temp_path("atomic.txt")) {
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
   }

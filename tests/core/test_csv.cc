@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/error.h"
+#include "tests/temp_path.h"
 
 namespace ceal {
 namespace {
@@ -22,7 +23,7 @@ class CsvTest : public ::testing::Test {
     return os.str();
   }
 
-  std::string path_ = ::testing::TempDir() + "ceal_csv_test.csv";
+  std::string path_ = testutil::test_temp_path("table.csv");
 };
 
 TEST_F(CsvTest, WritesHeaderAndRows) {
@@ -44,6 +45,17 @@ TEST_F(CsvTest, EscapesCommasQuotesAndNewlines) {
   }
   EXPECT_EQ(read_back(),
             "x\n\"a,b\"\n\"quote\"\"inside\"\n\"line\nbreak\"\n");
+}
+
+TEST_F(CsvTest, QuotesBareCarriageReturn) {
+  // A bare \r splits the record for readers that break on CRLF, so it
+  // is quoted like \n; Table::to_csv shares the same escaper.
+  {
+    CsvWriter csv(path_, {"x"});
+    csv.add_row({"a\rb"});
+  }
+  EXPECT_EQ(read_back(), "x\n\"a\rb\"\n");
+  EXPECT_EQ(csv_escape("a\rb"), "\"a\rb\"");
 }
 
 TEST_F(CsvTest, RejectsWidthMismatch) {

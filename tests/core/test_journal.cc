@@ -14,6 +14,7 @@
 #include <string>
 
 #include "core/json.h"
+#include "tests/temp_path.h"
 
 namespace ceal {
 namespace {
@@ -37,7 +38,7 @@ std::string sample_journal(std::uint64_t n) {
 
 class JournalFileTest : public ::testing::Test {
  protected:
-  JournalFileTest() : path_(::testing::TempDir() + "ceal_test.cealj") {
+  JournalFileTest() : path_(testutil::test_temp_path("journal.cealj")) {
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

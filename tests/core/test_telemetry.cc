@@ -347,7 +347,7 @@ TEST(Telemetry, HistogramObservationsAccumulateExactStats) {
   EXPECT_DOUBLE_EQ(stats.sum, 7.0);
   EXPECT_DOUBLE_EQ(stats.min, 1.0);
   EXPECT_DOUBLE_EQ(stats.max, 4.0);
-  EXPECT_EQ(stats.buckets.size(), kHistogramBuckets);
+  EXPECT_EQ(stats.buckets.size(), kBucketCount);
   const double p50 = stats.quantile(0.5);
   EXPECT_GE(p50, 1.0);
   EXPECT_LE(p50, 4.0);

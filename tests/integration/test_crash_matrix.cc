@@ -23,6 +23,7 @@
 #include "tuner/ceal.h"
 #include "tuner/checkpoint.h"
 #include "tuner/random_search.h"
+#include "tests/temp_path.h"
 
 namespace ceal::tuner {
 namespace {
@@ -94,7 +95,7 @@ std::vector<std::size_t> record_boundaries(const std::string& bytes) {
 class CrashMatrixTest : public ::testing::Test {
  protected:
   CrashMatrixTest()
-      : path_(::testing::TempDir() + "ceal_crash_matrix.cealj") {
+      : path_(testutil::test_temp_path("crash_matrix.cealj")) {
     std::remove(path_.c_str());
   }
   void TearDown() override {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "serve/server.h"
+#include "tests/temp_path.h"
 
 namespace ceal::serve {
 namespace {
@@ -52,7 +53,7 @@ std::vector<std::size_t> record_boundaries(const std::string& bytes) {
 
 class ServeKillResumeTest : public ::testing::Test {
  protected:
-  ServeKillResumeTest() : root_(::testing::TempDir() + "ceal_serve_kr") {
+  ServeKillResumeTest() : root_(testutil::test_temp_path("serve_kr")) {
     std::filesystem::remove_all(root_);
     std::filesystem::create_directories(root_);
   }

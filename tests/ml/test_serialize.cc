@@ -99,6 +99,65 @@ TEST(Serialize, RejectsOutOfRangeFeature) {
   EXPECT_THROW(load_gbt(buffer), ceal::PreconditionError);
 }
 
+// A v2 file written while the histogram trainer still existed: two
+// features, two trees, learning rate 0.1, base score 3.
+constexpr const char* kLegacyHistModel =
+    "gbt v2 2 2 0x1.999999999999ap-4 0x1.8p+1\n"
+    "params hist 64 0\n"
+    "tree 5\n"
+    "node 0 0x1.4p+1 1 2 0x0p+0\n"
+    "node 1 -0x1p-1 3 4 0x0p+0\n"
+    "node 0 0x0p+0 -1 -1 0x1.8p+2\n"
+    "node 0 0x0p+0 -1 -1 -0x1.4p+1\n"
+    "node 0 0x0p+0 -1 -1 0x1.2p+0\n"
+    "tree 3\n"
+    "node 1 0x1.8p+0 1 2 0x0p+0\n"
+    "node 0 0x0p+0 -1 -1 -0x1p-2\n"
+    "node 0 0x0p+0 -1 -1 0x1.cp+1\n";
+
+std::string replace_params(std::string text, const std::string& params) {
+  const std::size_t at = text.find("params ");
+  const std::size_t end = text.find('\n', at);
+  return text.replace(at, end - at, params);
+}
+
+TEST(Serialize, LegacyHistFileLoadsAsQuantized) {
+  std::stringstream legacy(kLegacyHistModel);
+  const LoadedGbt old_model = load_gbt(legacy);
+  EXPECT_EQ(old_model.model.params().tree.method, TreeMethod::kQuantized);
+  EXPECT_EQ(old_model.model.params().tree.max_bins, 64u);
+
+  // Saving writes the method under its current name only.
+  std::stringstream resaved;
+  save_gbt(old_model.model, resaved, old_model.n_features);
+  EXPECT_EQ(resaved.str(),
+            replace_params(kLegacyHistModel, "params quantized 64 0"));
+  const LoadedGbt new_model = load_gbt(resaved);
+
+  ceal::Rng rng(8);
+  for (int i = 0; i < 200; ++i) {
+    const std::vector<double> x{rng.uniform(-2.0, 6.0),
+                                rng.uniform(-2.0, 4.0)};
+    EXPECT_EQ(old_model.model.predict(x), new_model.model.predict(x));
+  }
+}
+
+TEST(Serialize, RejectsMaxBinsOutsideTwoTo256) {
+  for (const char* params :
+       {"params quantized 257 0", "params hist 4096 0",
+        "params quantized 1 0"}) {
+    std::stringstream buffer(replace_params(kLegacyHistModel, params));
+    try {
+      load_gbt(buffer);
+      ADD_FAILURE() << params << " loaded";
+    } catch (const ceal::PreconditionError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("max_bins"), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(ImportNodes, ValidatesTreeStructure) {
   // Orphan node (never referenced).
   std::vector<TreeNodeData> orphan{

@@ -40,7 +40,7 @@ GbtParams random_params(ceal::Rng& rng) {
   p.tree.gamma = rng.uniform(0.0, 0.5);
   p.tree.colsample = rng.uniform(0.5, 1.0);
   if (rng.bernoulli(0.5)) {
-    p.tree.method = TreeMethod::kHist;
+    p.tree.method = TreeMethod::kQuantized;
     p.tree.max_bins = 2 + rng.uniform_u64(255);
   }
   return p;

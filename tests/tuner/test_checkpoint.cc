@@ -14,6 +14,7 @@
 #include "core/telemetry.h"
 #include "sim/workloads.h"
 #include "tuner/ceal.h"
+#include "tests/temp_path.h"
 
 namespace ceal::tuner {
 namespace {
@@ -58,7 +59,7 @@ void expect_same_result(const TuneResult& a, const TuneResult& b) {
 class CheckpointTest : public ::testing::Test {
  protected:
   CheckpointTest()
-      : path_(::testing::TempDir() + "ceal_checkpoint_test.cealj") {
+      : path_(testutil::test_temp_path("checkpoint.cealj")) {
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

@@ -7,6 +7,7 @@
 
 #include "core/error.h"
 #include "sim/workloads.h"
+#include "tests/temp_path.h"
 
 namespace ceal::tuner {
 namespace {
@@ -16,7 +17,7 @@ class PoolIoTest : public ::testing::Test {
   PoolIoTest()
       : wl_(sim::make_lv()),
         pool_(measure_pool(wl_.workflow, 60, 1)),
-        path_(::testing::TempDir() + "ceal_pool_test.csv") {}
+        path_(testutil::test_temp_path("pool.csv")) {}
 
   void TearDown() override { std::remove(path_.c_str()); }
 

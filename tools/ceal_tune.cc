@@ -84,19 +84,19 @@ constexpr const char* kUsage =
     "  [--verbose]              echo trace events to stderr\n"
     "\n"
     "performance (docs/PERFORMANCE.md):\n"
-    "  [--gbt-backend exact|hist|quantized]  surrogate trainer\n"
+    "  [--gbt-backend exact|quantized]  surrogate trainer\n"
     "                           (default exact, the pinned-results path)\n"
-    "  [--gbt-bins N]           histogram/quantized bins (default 256)\n"
+    "  [--gbt-bins N]           quantized bins per feature, 2..256\n"
+    "                           (default 256)\n"
     "  [--compiled-predictor]   flatten trained trees for batch inference\n"
     "  [--pool-chunk N]         stream pool scoring in N-row blocks\n"
     "                           (bounded memory; default 0 = cache)";
 
 ceal::ml::TreeMethod backend_by_name(const std::string& name) {
   if (name == "exact") return ceal::ml::TreeMethod::kExact;
-  if (name == "hist") return ceal::ml::TreeMethod::kHist;
   if (name == "quantized") return ceal::ml::TreeMethod::kQuantized;
   std::cerr << "unknown --gbt-backend: " << name
-            << " (expected exact|hist|quantized)\n";
+            << " (expected exact|quantized)\n";
   std::exit(2);
 }
 
@@ -142,8 +142,13 @@ int main(int argc, char** argv) {
   const bool metrics_summary = args.flag("metrics-summary");
   const bool quiet = args.flag("quiet");
   const bool verbose = args.flag("verbose");
-  const auto gbt_backend = args.option("gbt-backend", "exact");
-  const auto gbt_bins = static_cast<std::size_t>(args.integer("gbt-bins", 256));
+  const auto gbt_method = backend_by_name(args.option("gbt-backend", "exact"));
+  const auto gbt_bins = static_cast<std::size_t>(
+      args.integer("gbt-bins", static_cast<long>(ml::kMaxBins)));
+  if (gbt_bins < 2 || gbt_bins > ml::kMaxBins) {
+    std::cerr << "--gbt-bins must be in [2, " << ml::kMaxBins << "]\n";
+    return 2;
+  }
   const bool compiled_predictor = args.flag("compiled-predictor");
   const auto pool_chunk =
       static_cast<std::size_t>(args.integer("pool-chunk", 0));
@@ -204,11 +209,7 @@ int main(int argc, char** argv) {
 
   // Performance knobs (all default to the pinned reproduction path: exact
   // trainer, tree-walk predictor, cached pool featurization).
-  if (gbt_bins == 0) {
-    std::cerr << "--gbt-bins must be >= 1\n";
-    return 2;
-  }
-  problem.surrogate_gbt.tree.method = backend_by_name(gbt_backend);
+  problem.surrogate_gbt.tree.method = gbt_method;
   problem.surrogate_gbt.tree.max_bins = gbt_bins;
   problem.surrogate_gbt.compile_predictor = compiled_predictor;
   problem.pool_chunk_rows = pool_chunk;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: every test labelled tier1 (unit, system, and
-# example smoke tests — see tests/CMakeLists.txt), trace determinism
+# example smoke tests — see tests/CMakeLists.txt), a concurrent repeat
+# of the temp-file fixtures, trace determinism
 # gates (serial and 4-thread pooled), the micro benches + ceal_report
 # regression gate against .ceal-bench/baseline, then the same tier1
 # label set rebuilt and rerun under AddressSanitizer and
@@ -32,6 +33,14 @@ echo "== tier-1: plain build + ctest -L tier1 =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs" -L tier1
+
+echo "== tier-1: temp-file fixtures under concurrent repeat =="
+# These fixtures write files under the gtest temp dir. ctest runs each
+# case as its own process, so a name shared between cases would let
+# them clobber each other under -j; tests/temp_path.h gives every case
+# its own path. Rerun them concurrently, three times over, to keep it so.
+ctest --test-dir build --output-on-failure -j8 --repeat until-fail:3 \
+  -R '^(AtomicFileTest|JournalFileTest|CsvTest|CheckpointTest|CrashMatrixTest|ServeKillResumeTest|PoolIoTest)\.'
 
 echo "== tier-1: trace determinism gate =="
 # Two seeded runs at the fig5 configuration must (a) print the same
