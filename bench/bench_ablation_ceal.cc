@@ -74,5 +74,6 @@ int main() {
   std::cout << "\nExpected shape: the full configuration is at least as "
                "good as every ablation; dropping the\nlow-fidelity "
                "bootstrap hurts the most.\n";
+  csv.commit();
   return 0;
 }

@@ -103,5 +103,6 @@ int main() {
                "budget; GBT leads or ties RF — consistent\nwith §2.2's "
                "rationale for boosted-tree surrogates under tight sample "
                "budgets.\n";
+  csv.commit();
   return 0;
 }

@@ -59,5 +59,6 @@ int main() {
                "helps AL — BO-CEAL tracks CEAL and beats\nplain BO, "
                "confirming the method is black-box-technique agnostic "
                "(§3).\n";
+  csv.commit();
   return 0;
 }

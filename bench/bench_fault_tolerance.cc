@@ -54,5 +54,6 @@ int main() {
                "CEAL stays closest to its fault-free quality because the "
                "low-fidelity\nmodel needs no workflow runs. Series in "
                "fault_tolerance.csv.\n";
+  csv.commit();
   return 0;
 }

@@ -53,5 +53,6 @@ int main() {
   std::cout << "\nPaper shape: CEAL recoups its cost in fewer uses than "
                "ALpH (paper: 164 runs for LV exec @50,\n160 for LV comp "
                "@25).\n";
+  csv.commit();
   return 0;
 }

@@ -103,5 +103,6 @@ int main() {
   std::cout << "\nPaper shape: converges by I ~ 8 without histories "
                "(faster with); flat over a wide m0 range;\nflat for mR in "
                "30-80%. Series in fig13_sensitivity.csv.\n";
+  csv.commit();
   return 0;
 }

@@ -87,5 +87,6 @@ int main() {
   std::cout << "\nPaper shape: combination functions reach >30% recall for "
                "top 2-25, far above random\n(which is ~n/500). Series "
                "written to fig4_combination_recall.csv.\n";
+  csv.commit();
   return 0;
 }

@@ -61,5 +61,6 @@ int main() {
                "worst; AL between. Paper examples:\nCEAL improves 15-72% "
                "over RS and 10-60% over GEIST. Series in "
                "fig5_autotune_no_hist.csv.\n";
+  csv.commit();
   return 0;
 }

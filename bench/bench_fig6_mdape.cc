@@ -58,5 +58,6 @@ int main() {
                "others', while on all configurations it is\ncomparable or "
                "slightly higher — the budget goes into accuracy where the "
                "searcher needs it (§7.4.2).\n";
+  csv.commit();
   return 0;
 }

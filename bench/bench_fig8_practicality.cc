@@ -43,5 +43,6 @@ int main() {
                "(LV: 716 vs 782 in the paper) because its\ntraining "
                "samples are cheaper — the low-fidelity model steers it to "
                "fast configurations.\n";
+  csv.commit();
   return 0;
 }

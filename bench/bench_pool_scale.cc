@@ -2,7 +2,7 @@
 // grows from 2k to 2M configurations (google-benchmark).
 //
 // Each iteration streams the pool through a fitted surrogate in
-// fixed-size blocks (tuner/pool_scorer.h, streaming mode) and selects
+// fixed-size blocks (tuner/pool_scorer.h) and selects
 // the best 64 with the bounded heap (tuner/tuning_util.h). Memory stays
 // flat as the pool grows: no full-pool feature matrix is ever
 // materialised, only the 8-byte/row score vector. Reported counters:
@@ -37,10 +37,6 @@ constexpr std::size_t kTopK = 64;
 constexpr std::size_t kChunkRows = 8192;
 constexpr std::size_t kTrainConfigs = 128;
 constexpr std::size_t kMaxPool = 2'097'152;
-// Cached mode materialises the full pool feature matrix, so its sweep
-// stops where that matrix stays cheap; past this point only the
-// streaming path is benchmarked (and usable).
-constexpr std::size_t kMaxCachedPool = 131'072;
 
 const sim::Workload& lv() {
   static const sim::Workload wl = sim::make_lv();
@@ -107,14 +103,14 @@ double recall_percent(std::vector<std::size_t> picked,
          static_cast<double>(truth.size());
 }
 
-void run_scoring(benchmark::State& state, std::size_t chunk_rows) {
+void BM_PoolScoreStreaming(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto& pc = pool_case(n);
   const auto& model = surrogate();
-  const auto& space = lv().workflow.joint_space();
   double recall = 0.0;
   for (auto _ : state) {
-    const tuner::PoolScorer scorer(space, pc.configs, chunk_rows, nullptr);
+    const tuner::PoolScorer scorer(lv().workflow, pc.configs, kChunkRows,
+                                   nullptr);
     const auto scores = scorer.surrogate_scores(model);
     auto picked = tuner::smallest_k(scores, kTopK);
     benchmark::DoNotOptimize(picked);
@@ -124,14 +120,6 @@ void run_scoring(benchmark::State& state, std::size_t chunk_rows) {
                           static_cast<std::int64_t>(n));
   state.counters["recall_at_64"] = recall;
   state.counters["peak_rss_mb"] = bench::peak_rss_mb();
-}
-
-void BM_PoolScoreStreaming(benchmark::State& state) {
-  run_scoring(state, kChunkRows);
-}
-
-void BM_PoolScoreCached(benchmark::State& state) {
-  run_scoring(state, /*chunk_rows=*/0);
 }
 
 std::size_t pool_scale_cap() {
@@ -151,16 +139,7 @@ void streaming_args(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMillisecond);
 }
 
-void cached_args(benchmark::internal::Benchmark* b) {
-  const std::size_t cap = std::min(pool_scale_cap(), kMaxCachedPool);
-  for (const std::size_t n : {2048ul, 16384ul, 131072ul}) {
-    if (n <= cap) b->Arg(static_cast<std::int64_t>(n));
-  }
-  b->Unit(benchmark::kMillisecond);
-}
-
 BENCHMARK(BM_PoolScoreStreaming)->Apply(streaming_args);
-BENCHMARK(BM_PoolScoreCached)->Apply(cached_args);
 
 }  // namespace
 

@@ -1,7 +1,5 @@
 #include "core/csv.h"
 
-#include <stdexcept>
-
 #include "core/error.h"
 
 namespace ceal {
@@ -27,15 +25,14 @@ void write_csv_row(std::ostream& os, const std::vector<std::string>& cells) {
 
 CsvWriter::CsvWriter(const std::string& path,
                      const std::vector<std::string>& header)
-    : out_(path), columns_(header.size()) {
+    : file_(path), columns_(header.size()) {
   CEAL_EXPECT(!header.empty());
-  if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
-  write_csv_row(out_, header);
+  write_csv_row(file_.stream(), header);
 }
 
 void CsvWriter::add_row(const std::vector<std::string>& cells) {
   CEAL_EXPECT_MSG(cells.size() == columns_, "CSV row width mismatch");
-  write_csv_row(out_, cells);
+  write_csv_row(file_.stream(), cells);
   ++rows_;
 }
 

@@ -2,10 +2,11 @@
 // readable series next to their human-readable tables.
 #pragma once
 
-#include <fstream>
 #include <ostream>
 #include <string>
 #include <vector>
+
+#include "core/atomic_file.h"
 
 namespace ceal {
 
@@ -19,19 +20,27 @@ std::string csv_escape(const std::string& cell);
 /// '\n'-terminated).
 void write_csv_row(std::ostream& os, const std::vector<std::string>& cells);
 
+/// Writes through core/atomic_file: rows go to "<path>.tmp" and only
+/// commit() replaces `path`, so a writer destroyed without commit() (a
+/// killed or failed run) leaves the previous file intact, never a
+/// truncated one.
 class CsvWriter {
  public:
-  /// Opens (truncates) `path` and writes the header row immediately.
-  /// Throws std::runtime_error if the file cannot be opened.
+  /// Opens the temp file and writes the header row. Throws
+  /// std::runtime_error if the temp file cannot be created.
   CsvWriter(const std::string& path, const std::vector<std::string>& header);
 
   /// Writes one data row; must match the header width.
   void add_row(const std::vector<std::string>& cells);
 
+  /// Atomically replaces `path` with the rows written so far (see
+  /// AtomicFile::commit). Call once, after the last row.
+  void commit() { file_.commit(); }
+
   std::size_t rows_written() const { return rows_; }
 
  private:
-  std::ofstream out_;
+  AtomicFile file_;
   std::size_t columns_;
   std::size_t rows_ = 0;
 };

@@ -286,8 +286,15 @@ class Parser {
   Value parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxParseDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxParseDepth));
+      }
+      ++depth_;
+      Value out = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return out;
+    }
     if (c == '"') return Value::string(parse_string());
     if (c == 't') {
       if (!consume_literal("true")) fail("bad literal");
@@ -426,6 +433,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays/objects around pos_
 };
 
 }  // namespace

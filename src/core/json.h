@@ -9,6 +9,7 @@
 // bytes — the property the trace determinism checks rely on.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -17,6 +18,12 @@
 #include <vector>
 
 namespace ceal::json {
+
+/// Deepest array/object nesting the parser accepts. The deepest document
+/// this code base writes (a server.metrics response) nests about five
+/// levels; the bound keeps the recursive parser's stack use fixed, so a
+/// hostile line of nested brackets is an error, not a stack overflow.
+inline constexpr std::size_t kMaxParseDepth = 128;
 
 class Value {
  public:
@@ -69,8 +76,9 @@ class Value {
   void write(std::ostream& os) const;
   std::string dump() const;
 
-  /// Strict parser for one JSON document; rejects trailing garbage.
-  /// Throws ceal::PreconditionError on malformed input.
+  /// Strict parser for one JSON document; rejects trailing garbage and
+  /// nesting deeper than kMaxParseDepth. Throws ceal::PreconditionError
+  /// on malformed input.
   static Value parse(std::string_view text);
 
  private:

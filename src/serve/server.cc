@@ -1,6 +1,8 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -41,6 +43,27 @@ bool file_non_empty(const std::string& path) {
   std::error_code ec;
   const auto size = std::filesystem::file_size(path, ec);
   return !ec && size > 0;
+}
+
+/// Reads one '\n'-terminated line (newline dropped) into `line`; false
+/// at end of input with nothing read. A line longer than
+/// kMaxRequestLineBytes is consumed through its newline but not kept:
+/// `too_long` is set and `line` holds only its first
+/// kMaxRequestLineBytes bytes, so memory per connection stays bounded.
+bool read_request_line(std::istream& in, std::string& line, bool& too_long) {
+  using traits = std::char_traits<char>;
+  line.clear();
+  too_long = false;
+  for (auto ch = in.rdbuf()->sbumpc(); !traits::eq_int_type(ch, traits::eof());
+       ch = in.rdbuf()->sbumpc()) {
+    if (ch == '\n') return true;
+    if (line.size() < kMaxRequestLineBytes) {
+      line.push_back(traits::to_char_type(ch));
+    } else {
+      too_long = true;
+    }
+  }
+  return !line.empty();
 }
 
 }  // namespace
@@ -494,7 +517,15 @@ void serve_stream(ServerCore& core, std::istream& in, std::ostream& out,
   };
 
   std::string line;
-  while (std::getline(in, line)) {
+  bool too_long = false;
+  while (read_request_line(in, line, too_long)) {
+    if (too_long) {
+      push_ready(core.handle_error("request: line longer than " +
+                                   std::to_string(kMaxRequestLineBytes) +
+                                   " bytes")
+                     .dump());
+      continue;
+    }
     if (!line.empty() && line.back() == '\r') line.pop_back();
     Request request;
     try {
@@ -545,6 +576,9 @@ class FdStreambuf final : public std::streambuf {
 
  protected:
   int_type underflow() override {
+    // A peer that stopped taking responses has hung up: stop reading
+    // its remaining requests too.
+    if (closed_.load()) return traits_type::eof();
     const ssize_t n = ::read(fd_, rbuf_, sizeof rbuf_);
     if (n <= 0) return traits_type::eof();
     setg(rbuf_, rbuf_, rbuf_ + n);
@@ -563,18 +597,27 @@ class FdStreambuf final : public std::streambuf {
   int sync() override { return flush_buffer(); }
 
  private:
+  /// Sends the buffered bytes. MSG_NOSIGNAL turns a write to a peer
+  /// that hung up into EPIPE instead of a process-killing SIGPIPE; a
+  /// send interrupted by a signal (the SIGTERM drain handler is
+  /// installed without SA_RESTART) is retried. Any other failure means
+  /// the connection is gone: the buffer is dropped and every later
+  /// write and read on this connection is a no-op end of stream.
   int flush_buffer() {
     const char* p = pbase();
-    while (p != pptr()) {
-      const ssize_t n = ::write(fd_, p, static_cast<std::size_t>(pptr() - p));
-      if (n <= 0) return -1;
-      p += n;
+    while (p != pptr() && !closed_.load()) {
+      const ssize_t n = ::send(fd_, p, static_cast<std::size_t>(pptr() - p),
+                               MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) closed_.store(true);
+      else p += n;
     }
     setp(wbuf_, wbuf_ + sizeof wbuf_);
-    return 0;
+    return closed_.load() ? -1 : 0;
   }
 
   int fd_;
+  std::atomic<bool> closed_{false};
   char rbuf_[4096];
   char wbuf_[4096];
 };

@@ -136,6 +136,13 @@ class ServerCore {
   std::array<std::atomic<std::uint64_t>, kOpCount> op_errors_{};
 };
 
+/// Longest request line serve_stream accepts, in bytes. A
+/// session.create request is a few hundred bytes; a longer line is
+/// answered with the one-line error "request: line longer than 1048576
+/// bytes" and skipped, so a client that never sends a newline cannot
+/// grow the daemon's memory without bound.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
 /// Serves newline-delimited JSON requests from `in` until EOF, writing
 /// one response per line to `out` in request order. Session work runs
 /// on a `threads`-sized ThreadPool (0 = hardware concurrency), one

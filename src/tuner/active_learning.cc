@@ -33,12 +33,9 @@ class ActiveLearningStepper final : public TunerStepper {
       : TunerStepper(problem, budget_runs, rng),
         params_(params),
         collector_(problem_, budget_runs, rng_),
-        // The pool is rescored every iteration: featurized once here in
-        // the default cached mode, streamed in blocks when
-        // pool_chunk_rows opts in.
-        pool_scorer_(problem_.workload->workflow.joint_space(),
-                     problem_.pool->configs, problem_.pool_chunk_rows,
-                     problem_.telemetry),
+        // The pool is rescored every iteration.
+        pool_scorer_(problem_.workload->workflow, problem_.pool->configs,
+                     problem_.pool_chunk_rows, problem_.telemetry),
         surrogate_(problem_.surrogate_gbt) {
     emit_tune_start(problem_, algorithm, budget_);
   }

@@ -11,6 +11,7 @@
 #include "ml/gbt.h"
 #include "tuner/collector.h"
 #include "tuner/low_fidelity.h"
+#include "tuner/pool_scorer.h"
 #include "tuner/stepper.h"
 #include "tuner/tuning_util.h"
 
@@ -144,7 +145,9 @@ class BayesOptStepper final : public TunerStepper {
         const LowFidelityModel low_fidelity(workflow, problem_.objective,
                                             components);
         const auto low_scores =
-            low_fidelity.score_many(problem_.pool->configs);
+            PoolScorer(workflow, problem_.pool->configs,
+                       problem_.pool_chunk_rows, tel)
+                .low_fidelity_scores(low_fidelity);
         measure_batch(collector_,
                       top_unmeasured(low_scores, collector_,
                                      std::min(init, collector_.remaining())));

@@ -46,11 +46,8 @@ class CealStepper final : public TunerStepper {
       : TunerStepper(problem, budget_runs, rng),
         params_(params),
         collector_(problem_, budget_runs, rng_),
-        // Every model evaluation below scores the same fixed pool. The
-        // scorer featurizes it (joint + per-component slices) exactly
-        // once in the default cached mode, or streams fixed-size blocks
-        // per scoring pass when the problem opts into bounded memory
-        // (pool_chunk_rows > 0).
+        // Every whole-pool model evaluation below streams the same fixed
+        // pool through this scorer in pool_chunk_rows-sized blocks.
         pool_scorer_(problem_.workload->workflow, problem_.pool->configs,
                      problem_.pool_chunk_rows, problem_.telemetry),
         high_fidelity_(problem_.surrogate_gbt) {  // M_H (line 12)
@@ -215,12 +212,14 @@ class CealStepper final : public TunerStepper {
             high_fidelity_.is_fitted() && batch_len >= 3) {
           telemetry::ScopedCausalSpan detect_span(tel, "ceal.switch_detection");
           detection_ran = true;
+          const auto& joint_space = problem_.workload->workflow.joint_space();
+          const auto& pool_configs = problem_.pool->configs;
           std::vector<double> batch_high(batch_len), batch_low(batch_len),
               batch_meas(batch_len);
           for (std::size_t b = 0; b < batch_len; ++b) {
             const std::size_t idx = all_indices[batch_start + b];
             batch_high[b] =
-                high_fidelity_.predict_features(pool_scorer_.joint_row(idx));
+                high_fidelity_.predict(joint_space, pool_configs[idx]);
             batch_low[b] = low_scores_[idx];
             batch_meas[b] = all_values[batch_start + b];
           }
@@ -235,8 +234,8 @@ class CealStepper final : public TunerStepper {
           // otherwise top up with random samples.
           std::vector<double> meas_high(all_indices.size());
           for (std::size_t s = 0; s < all_indices.size(); ++s) {
-            meas_high[s] = high_fidelity_.predict_features(
-                pool_scorer_.joint_row(all_indices[s]));
+            meas_high[s] = high_fidelity_.predict(
+                joint_space, pool_configs[all_indices[s]]);
           }
           const std::size_t top_n =
               std::min<std::size_t>(3, meas_high.size());

@@ -82,18 +82,19 @@ std::vector<double> LowFidelityModel::score_many(
 }
 
 std::vector<double> LowFidelityModel::score_many(
-    const PoolFeatures& pool) const {
+    const std::vector<ml::FeatureMatrix>& components) const {
   const std::size_t n_comps = workflow_->component_count();
-  CEAL_EXPECT(pool.components.size() == n_comps);
+  CEAL_EXPECT(components.size() == n_comps && n_comps > 0);
 
   // Component-major evaluation: each component's surrogate scores its
-  // cached slice matrix in one (parallel) batch. The per-row combine
-  // folds components in ascending j, exactly like score(), so results
-  // match the uncached path bitwise.
-  std::vector<double> out(pool.size(), 0.0);
+  // slice matrix in one (parallel) batch. The per-row combine folds
+  // components in ascending j, exactly like score(), so results match
+  // the per-row path bitwise.
+  std::vector<double> out(components.front().size(), 0.0);
   for (std::size_t j = 0; j < n_comps; ++j) {
+    CEAL_EXPECT(components[j].size() == out.size());
     const std::vector<double> comp =
-        components_->predict_many(j, pool.components[j]);
+        components_->predict_many(j, components[j]);
     if (objective_ == Objective::kExecTime) {
       for (std::size_t i = 0; i < out.size(); ++i) {
         out[i] = std::max(out[i], comp[i]);

@@ -13,9 +13,9 @@
 #include <span>
 #include <vector>
 
+#include "ml/dataset.h"
 #include "tuner/measured_pool.h"
 #include "tuner/objective.h"
-#include "tuner/pool_features.h"
 #include "tuner/surrogate.h"
 
 namespace ceal::tuner {
@@ -42,7 +42,8 @@ class ComponentModelSet {
   double predict(std::size_t j, const config::Configuration& component_config)
       const;
 
-  /// Batch predictions of component j over its cached slice matrix.
+  /// Batch predictions of component j over a matrix of its slice
+  /// features.
   std::vector<double> predict_many(std::size_t j,
                                    const ml::FeatureMatrix& rows) const;
 
@@ -66,10 +67,11 @@ class LowFidelityModel {
   std::vector<double> score_many(
       std::span<const config::Configuration> joints) const;
 
-  /// Scores for the whole pool from its cached per-component feature
-  /// matrices; bitwise equal to score() per row, but featurizes and
-  /// slices nothing.
-  std::vector<double> score_many(const PoolFeatures& pool) const;
+  /// Scores for a block of joint configurations from its per-component
+  /// slice feature matrices (one per component, equal row counts, as
+  /// PoolScorer builds them); bitwise equal to score() per row.
+  std::vector<double> score_many(
+      const std::vector<ml::FeatureMatrix>& components) const;
 
  private:
   const sim::InSituWorkflow* workflow_;

@@ -153,11 +153,10 @@ struct TuningProblem {
   /// pools opt into the quantized trainer and the compiled predictor
   /// here (`ceal_tune --gbt-backend quantized --compiled-predictor`).
   ml::GbtParams surrogate_gbt = ml::GradientBoostedTrees::surrogate_defaults();
-  /// When > 0, pool scoring streams featurization in blocks of this
-  /// many rows (tuner/pool_scorer.h) instead of caching the whole
-  /// pool's feature matrices — bounded memory for million-entry pools,
-  /// bitwise-identical scores. 0 (the default) keeps the cached path.
-  std::size_t pool_chunk_rows = 0;
+  /// Block size, in rows (>= 1), in which every whole-pool scoring pass
+  /// featurizes and scores the pool (tuner/pool_scorer.h). Scores are
+  /// bitwise independent of it; it only bounds the memory of one block.
+  std::size_t pool_chunk_rows = 8192;
 };
 
 }  // namespace ceal::tuner

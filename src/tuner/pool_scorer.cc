@@ -3,75 +3,81 @@
 #include <algorithm>
 
 #include "core/error.h"
+#include "core/telemetry.h"
+#include "ml/dataset.h"
 #include "tuner/low_fidelity.h"
 #include "tuner/surrogate.h"
 
 namespace ceal::tuner {
+
+namespace {
+
+/// Calls `score_block(first, len)` for consecutive blocks of at most
+/// `chunk_rows` of the `n` pool rows, each under its own "pool.chunk"
+/// span, and stores the block's scores at out[first, first + len).
+template <typename ScoreBlock>
+std::vector<double> score_in_blocks(std::size_t n, std::size_t chunk_rows,
+                                    telemetry::Telemetry* telemetry,
+                                    ScoreBlock&& score_block) {
+  std::vector<double> out(n);
+  for (std::size_t first = 0; first < n; first += chunk_rows) {
+    const std::size_t len = std::min(chunk_rows, n - first);
+    telemetry::ScopedSpan span(telemetry, "pool.chunk");
+    if (telemetry != nullptr) {
+      telemetry->count("pool.chunks");
+      telemetry->count("pool.chunk.rows", len);
+    }
+    const std::vector<double> scores = score_block(first, len);
+    std::copy(scores.begin(), scores.end(), out.begin() + first);
+  }
+  return out;
+}
+
+}  // namespace
 
 PoolScorer::PoolScorer(const sim::InSituWorkflow& workflow,
                        std::span<const config::Configuration> configs,
                        std::size_t chunk_rows,
                        telemetry::Telemetry* telemetry)
     : workflow_(&workflow),
-      joint_space_(&workflow.joint_space()),
       configs_(configs),
       chunk_rows_(chunk_rows),
       telemetry_(telemetry) {
-  if (chunk_rows_ == 0) cached_.emplace(featurize_pool(workflow, configs));
-}
-
-PoolScorer::PoolScorer(const config::ConfigSpace& joint_space,
-                       std::span<const config::Configuration> configs,
-                       std::size_t chunk_rows,
-                       telemetry::Telemetry* telemetry)
-    : joint_space_(&joint_space),
-      configs_(configs),
-      chunk_rows_(chunk_rows),
-      telemetry_(telemetry) {
-  if (chunk_rows_ == 0) {
-    cached_joint_.emplace(featurize_joint(joint_space, configs));
-  }
+  CEAL_EXPECT_MSG(chunk_rows_ >= 1, "pool scoring needs chunk_rows >= 1");
 }
 
 std::vector<double> PoolScorer::surrogate_scores(
     const Surrogate& surrogate) const {
-  if (!streaming()) {
-    return surrogate.predict_many(cached_ ? cached_->joint : *cached_joint_);
-  }
-  std::vector<double> out(configs_.size());
-  featurize_joint_chunked(
-      *joint_space_, configs_, chunk_rows_,
-      [&](std::size_t first, const ml::FeatureMatrix& block) {
-        const auto scores = surrogate.predict_many(block);
-        std::copy(scores.begin(), scores.end(), out.begin() + first);
-      },
-      telemetry_);
-  return out;
+  const config::ConfigSpace& space = workflow_->joint_space();
+  return score_in_blocks(
+      configs_.size(), chunk_rows_, telemetry_,
+      [&](std::size_t first, std::size_t len) {
+        ml::FeatureMatrix block(space.dimension(), len);
+        for (std::size_t i = 0; i < len; ++i) {
+          block.set_row(i, space.features(configs_[first + i]));
+        }
+        return surrogate.predict_many(block);
+      });
 }
 
 std::vector<double> PoolScorer::low_fidelity_scores(
     const LowFidelityModel& model) const {
-  CEAL_EXPECT_MSG(workflow_ != nullptr,
-                  "low-fidelity scoring needs the full (workflow) scorer");
-  if (!streaming()) return model.score_many(*cached_);
-  std::vector<double> out(configs_.size());
-  featurize_pool_chunked(
-      *workflow_, configs_, chunk_rows_,
-      [&](std::size_t first, const PoolFeatures& block) {
-        const auto scores = model.score_many(block);
-        std::copy(scores.begin(), scores.end(), out.begin() + first);
-      },
-      telemetry_);
-  return out;
-}
-
-std::span<const double> PoolScorer::joint_row(std::size_t index) const {
-  CEAL_EXPECT(index < configs_.size());
-  if (!streaming()) {
-    return cached_ ? cached_->joint.row(index) : cached_joint_->row(index);
-  }
-  row_scratch_ = joint_space_->features(configs_[index]);
-  return row_scratch_;
+  const config::CompositeSpace& composite = workflow_->space();
+  return score_in_blocks(
+      configs_.size(), chunk_rows_, telemetry_,
+      [&](std::size_t first, std::size_t len) {
+        std::vector<ml::FeatureMatrix> blocks;
+        blocks.reserve(workflow_->component_count());
+        for (std::size_t j = 0; j < workflow_->component_count(); ++j) {
+          const config::ConfigSpace& space = composite.component_space(j);
+          ml::FeatureMatrix& block = blocks.emplace_back(space.dimension(), len);
+          for (std::size_t i = 0; i < len; ++i) {
+            block.set_row(i,
+                          space.features(composite.slice(configs_[first + i], j)));
+          }
+        }
+        return model.score_many(blocks);
+      });
 }
 
 }  // namespace ceal::tuner

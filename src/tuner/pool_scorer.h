@@ -1,27 +1,24 @@
-// Pool scoring behind one interface, cached or streaming.
+// Pool scoring: the one path by which every tuner scores C_pool.
 //
-// The tuners score the whole candidate pool C_pool with the low-fidelity
-// combination model and the high-fidelity surrogate on every iteration.
-// The cached mode (the default, chunk_rows == 0) materialises the pool's
-// feature matrices once per tune() — exactly the PoolFeatures fast path
-// the tuners used before, bitwise identical and with no extra telemetry.
-// The streaming mode (chunk_rows > 0) never holds more than one
-// chunk_rows-sized block of features at a time: every scoring pass
-// re-featurizes the pool block by block (tuner/pool_features.h), so a
-// pool of millions of configurations is scored in bounded memory — the
-// only O(pool) state is the score vector itself (8 bytes/row). Scores
-// are bitwise identical between the two modes because featurization and
-// both models are row-independent.
+// The tuners score the whole candidate pool with the low-fidelity
+// combination model and/or the high-fidelity surrogate on every
+// iteration (Algorithm 1 rescans the pool each pass). Each scoring pass
+// walks the pool in consecutive blocks of at most chunk_rows rows:
+// featurize one block on the calling thread, score it in one batch
+// (predictions are parallel over rows inside the model), move on. No
+// pool-sized feature matrix ever exists, so a pool of millions of
+// configurations is scored in bounded memory — the only O(pool) state
+// is the score vector itself (8 bytes/row). Scores are bitwise equal to
+// the per-row Surrogate::predict / LowFidelityModel::score for any block
+// size and thread count, because featurization and both models are
+// row-independent.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "config/config_space.h"
-#include "ml/dataset.h"
 #include "sim/workflow.h"
-#include "tuner/pool_features.h"
 
 namespace ceal::telemetry {
 class Telemetry;
@@ -34,47 +31,30 @@ class Surrogate;
 
 class PoolScorer {
  public:
-  /// Full scorer (joint + per-component slice features) for tuners that
-  /// use the low-fidelity combination model (CEAL). `chunk_rows == 0`
-  /// caches the whole pool's features up front; `chunk_rows >= 1`
-  /// streams every scoring pass in blocks of that many rows.
-  /// `telemetry` (nullable) only receives events in streaming mode.
+  /// Scores `configs` (joint configurations of `workflow`) in blocks of
+  /// `chunk_rows` >= 1 rows. `telemetry` (nullable) receives one
+  /// "pool.chunk" span plus "pool.chunks"/"pool.chunk.rows" counts per
+  /// block.
   PoolScorer(const sim::InSituWorkflow& workflow,
              std::span<const config::Configuration> configs,
              std::size_t chunk_rows, telemetry::Telemetry* telemetry);
 
-  /// Joint-space-only scorer for tuners that never slice per component
-  /// (active learning, random search).
-  PoolScorer(const config::ConfigSpace& joint_space,
-             std::span<const config::Configuration> configs,
-             std::size_t chunk_rows, telemetry::Telemetry* telemetry);
-
   std::size_t size() const { return configs_.size(); }
-  bool streaming() const { return chunk_rows_ > 0; }
 
-  /// Surrogate predictions for every pool configuration.
+  /// Surrogate predictions for every pool configuration (featurizes the
+  /// joint rows only).
   std::vector<double> surrogate_scores(const Surrogate& surrogate) const;
 
-  /// Low-fidelity combination-model scores for every pool configuration.
-  /// Requires the full (workflow) constructor.
+  /// Low-fidelity combination-model scores for every pool configuration
+  /// (featurizes the per-component slices only).
   std::vector<double> low_fidelity_scores(const LowFidelityModel& model)
       const;
 
-  /// Joint feature row of one pool configuration (cached: a view into
-  /// the pool matrix; streaming: featurized into an internal scratch
-  /// row, valid until the next joint_row call).
-  std::span<const double> joint_row(std::size_t index) const;
-
  private:
-  const sim::InSituWorkflow* workflow_ = nullptr;  // null in joint-only mode
-  const config::ConfigSpace* joint_space_;
+  const sim::InSituWorkflow* workflow_;
   std::span<const config::Configuration> configs_;
   std::size_t chunk_rows_;
   telemetry::Telemetry* telemetry_;
-
-  std::optional<PoolFeatures> cached_;             // full cached mode
-  std::optional<ml::FeatureMatrix> cached_joint_;  // joint-only cached mode
-  mutable std::vector<double> row_scratch_;        // streaming joint_row
 };
 
 }  // namespace ceal::tuner

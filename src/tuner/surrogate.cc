@@ -33,22 +33,8 @@ void Surrogate::fit(const config::ConfigSpace& space,
 
 double Surrogate::predict(const config::ConfigSpace& space,
                           const config::Configuration& c) const {
-  return predict_features(space.features(c));
-}
-
-double Surrogate::predict_features(std::span<const double> features) const {
-  const double raw = model_.predict(features);
+  const double raw = model_.predict(space.features(c));
   return log_targets_ ? std::exp(raw) : raw;
-}
-
-std::vector<double> Surrogate::predict_many(
-    const config::ConfigSpace& space,
-    std::span<const config::Configuration> configs) const {
-  std::vector<double> out(configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    out[i] = predict(space, configs[i]);
-  }
-  return out;
 }
 
 std::vector<double> Surrogate::predict_many(

@@ -31,18 +31,9 @@ class Surrogate {
   double predict(const config::ConfigSpace& space,
                  const config::Configuration& c) const;
 
-  /// Prediction from an already-featurized row (one row of a cached
-  /// pool matrix). Equals predict() on the configuration the row was
-  /// featurized from.
-  double predict_features(std::span<const double> features) const;
-
-  /// Predictions for a batch of configurations.
-  std::vector<double> predict_many(
-      const config::ConfigSpace& space,
-      std::span<const config::Configuration> configs) const;
-
-  /// Batch predictions from a cached feature matrix, parallel over rows
-  /// (bitwise equal to predict() per row for any worker count).
+  /// Batch predictions from a feature matrix, parallel over rows
+  /// (bitwise equal to predict() per row for any worker count). Pool
+  /// scoring goes through tuner::PoolScorer, which builds the blocks.
   std::vector<double> predict_many(const ml::FeatureMatrix& rows) const;
 
   /// Forwards a (concurrency-safe, nullable) telemetry registry to the

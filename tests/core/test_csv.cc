@@ -32,8 +32,25 @@ TEST_F(CsvTest, WritesHeaderAndRows) {
     csv.add_row({"1", "2"});
     csv.add_row({"3", "4"});
     EXPECT_EQ(csv.rows_written(), 2u);
+    csv.commit();
   }
   EXPECT_EQ(read_back(), "a,b\n1,2\n3,4\n");
+}
+
+TEST_F(CsvTest, WriterDestroyedWithoutCommitKeepsPreviousFile) {
+  {
+    CsvWriter csv(path_, {"a"});
+    csv.add_row({"old"});
+    csv.commit();
+  }
+  {
+    // A run killed or failed before commit(): the half-written rows
+    // never reach the target path, and no temp file is left behind.
+    CsvWriter csv(path_, {"a"});
+    csv.add_row({"new"});
+  }
+  EXPECT_EQ(read_back(), "a\nold\n");
+  EXPECT_FALSE(std::ifstream(path_ + ".tmp").good());
 }
 
 TEST_F(CsvTest, EscapesCommasQuotesAndNewlines) {
@@ -42,6 +59,7 @@ TEST_F(CsvTest, EscapesCommasQuotesAndNewlines) {
     csv.add_row({"a,b"});
     csv.add_row({"quote\"inside"});
     csv.add_row({"line\nbreak"});
+    csv.commit();
   }
   EXPECT_EQ(read_back(),
             "x\n\"a,b\"\n\"quote\"\"inside\"\n\"line\nbreak\"\n");
@@ -53,6 +71,7 @@ TEST_F(CsvTest, QuotesBareCarriageReturn) {
   {
     CsvWriter csv(path_, {"x"});
     csv.add_row({"a\rb"});
+    csv.commit();
   }
   EXPECT_EQ(read_back(), "x\n\"a\rb\"\n");
   EXPECT_EQ(csv_escape("a\rb"), "\"a\rb\"");

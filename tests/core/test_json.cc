@@ -99,6 +99,43 @@ TEST(JsonValue, ParserRejectsMalformedInput) {
   EXPECT_THROW(Value::parse("01x"), PreconditionError);
 }
 
+TEST(JsonValue, ParserBoundsNestingDepth) {
+  const auto nested = [](std::size_t depth, char open, char close) {
+    std::string text(depth, open);
+    if (open == '{') {
+      // {"k":{"k":...{}...}}: every level but the innermost is a member.
+      text.clear();
+      for (std::size_t i = 1; i < depth; ++i) text += "{\"k\":";
+      text += "{";
+    }
+    return text + std::string(depth, close);
+  };
+  EXPECT_NO_THROW(Value::parse(nested(kMaxParseDepth, '[', ']')));
+  EXPECT_NO_THROW(Value::parse(nested(kMaxParseDepth, '{', '}')));
+  for (const char open : {'[', '{'}) {
+    const char close = open == '[' ? ']' : '}';
+    try {
+      Value::parse(nested(kMaxParseDepth + 1, open, close));
+      ADD_FAILURE() << "depth " << kMaxParseDepth + 1 << " parsed";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than 128"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A hostile line far past the bound is rejected the same way, with a
+  // fixed stack depth, instead of overflowing the stack.
+  try {
+    Value::parse(std::string(200000, '['));
+    ADD_FAILURE() << "200000 nested arrays parsed";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "malformed JSON at offset 128: nesting deeper than 128"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(JsonValue, TypedAccessorsRejectKindMismatch) {
   EXPECT_THROW(Value::string("x").as_double(), PreconditionError);
   EXPECT_THROW(Value::number(1.0).as_string(), PreconditionError);

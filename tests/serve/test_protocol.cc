@@ -2,17 +2,30 @@
 // truncated frames, wrong types, unknown fields/ops/sessions, double
 // cancels — produces a structured {"ok":false,"error":"..."} response
 // with a one-line "request:<field>: why" message, and never a crash,
-// hang, or state change. Plus a randomized round-trip property test
-// over the create-request / manifest encoding.
+// hang, or state change. Over-long and deeply nested lines are one-line
+// errors too, and a socket client that hangs up mid-response does not
+// take the daemon down. Plus a randomized round-trip property test over
+// the create-request / manifest encoding.
 #include "serve/protocol.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstring>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
 #include "serve/server.h"
+#include "tests/temp_path.h"
 
 namespace ceal::serve {
 namespace {
@@ -301,6 +314,140 @@ TEST(ServeProtocolTest, RandomGarbageNeverEscapesHandleLine) {
     EXPECT_TRUE(parsed.contains("ok")) << "input: " << line;
   }
   EXPECT_EQ(core.session_count(), 0u);
+}
+
+TEST(ServeProtocolTest, DeeplyNestedLineIsAOneLineError) {
+  ServerCore core{ServerOptions{}};
+  const json::Value response =
+      json::Value::parse(core.handle_line(std::string(200000, '[')));
+  ASSERT_FALSE(response.at("ok").as_bool());
+  EXPECT_EQ(response.at("error").as_string(),
+            "request: invalid JSON: malformed JSON at offset 128: nesting "
+            "deeper than 128");
+  // The daemon keeps serving.
+  EXPECT_TRUE(json::Value::parse(core.handle_line("{\"op\":\"server.stats\"}"))
+                  .at("ok")
+                  .as_bool());
+}
+
+TEST(ServeProtocolTest, OverlongRequestLineIsAnsweredAndSkipped) {
+  ServerCore core{ServerOptions{}};
+  std::istringstream in(std::string(kMaxRequestLineBytes + 1, 'x') + "\n" +
+                        std::string(kMaxRequestLineBytes, 'y') + "\n" +
+                        "{\"op\":\"server.stats\"}\n");
+  std::ostringstream out;
+  serve_stream(core, in, out, 1);
+
+  std::istringstream responses(out.str());
+  std::vector<json::Value> lines;
+  for (std::string line; std::getline(responses, line);) {
+    lines.push_back(json::Value::parse(line));
+  }
+  ASSERT_EQ(lines.size(), 3u);
+  ASSERT_FALSE(lines[0].at("ok").as_bool());
+  EXPECT_EQ(lines[0].at("error").as_string(),
+            "request: line longer than 1048576 bytes");
+  // A line of exactly the cap is read whole and fails as JSON instead.
+  ASSERT_FALSE(lines[1].at("ok").as_bool());
+  EXPECT_NE(lines[1].at("error").as_string().find("invalid JSON"),
+            std::string::npos);
+  ASSERT_TRUE(lines[2].at("ok").as_bool());
+  EXPECT_EQ(lines[2].at("requests").as_int(), 3);
+  EXPECT_EQ(lines[2].at("errors").as_int(), 2);
+}
+
+int connect_to(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
+  // The server thread may not have bound the socket yet.
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof addr) == 0) {
+      return fd;
+    }
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+bool send_all(int fd, const std::string& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+std::string read_all(int fd) {
+  std::string out;
+  char buffer[4096];
+  for (ssize_t n; (n = ::read(fd, buffer, sizeof buffer)) > 0;) {
+    out.append(buffer, static_cast<std::size_t>(n));
+  }
+  return out;
+}
+
+/// serve_unix_socket on a background thread; the destructor stops and
+/// joins it (on every test exit path).
+class SocketServer {
+ public:
+  explicit SocketServer(std::string path)
+      : path_(std::move(path)),
+        thread_([this] {
+          serve_unix_socket(core_, path_, 2, [this] { return stop_.load(); });
+        }) {}
+  SocketServer(const SocketServer&) = delete;
+  SocketServer& operator=(const SocketServer&) = delete;
+  ~SocketServer() {
+    stop_ = true;
+    // Wake the accept loop so it sees the stop flag.
+    const int wake = connect_to(path_);
+    if (wake >= 0) ::close(wake);
+    thread_.join();
+    std::remove(path_.c_str());
+  }
+
+ private:
+  std::string path_;
+  ServerCore core_{ServerOptions{}};
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+// A client that sends a burst of requests and hangs up before reading a
+// single response must not take the daemon down: a write to the closed
+// connection must not raise SIGPIPE (which would kill this test binary
+// too), and the next connection must still be served.
+TEST(ServeSocketTest, ClientHangUpDoesNotKillTheServer) {
+  const std::string path = testutil::test_temp_path("serve.sock");
+  ASSERT_LT(path.size(), sizeof(sockaddr_un{}.sun_path)) << path;
+  SocketServer server(path);
+
+  const int hang_up = connect_to(path);
+  ASSERT_GE(hang_up, 0);
+  std::string burst;
+  for (int i = 0; i < 2000; ++i) burst += "{\"op\":\"server.stats\"}\n";
+  EXPECT_TRUE(send_all(hang_up, burst));
+  ::close(hang_up);
+
+  const int next = connect_to(path);
+  ASSERT_GE(next, 0);
+  ASSERT_TRUE(send_all(next, "{\"op\":\"server.stats\"}\n"));
+  ::shutdown(next, SHUT_WR);
+  const std::string reply = read_all(next);
+  ::close(next);
+  ASSERT_FALSE(reply.empty());
+  EXPECT_TRUE(json::Value::parse(reply.substr(0, reply.find('\n')))
+                  .at("ok")
+                  .as_bool())
+      << reply;
 }
 
 }  // namespace

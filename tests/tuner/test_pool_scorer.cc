@@ -1,9 +1,8 @@
-// Streaming pool scoring (tuner/pool_scorer.h): chunked featurization
-// must reproduce the monolithic matrices row for row at any thread
-// count and chunk size (including chunk sizes that do not divide the
-// pool), streaming scores must be bitwise equal to cached scores, and a
-// CEAL session that opts into pool_chunk_rows must return the identical
-// TuneResult.
+// Pool scoring (tuner/pool_scorer.h): block scores must be bitwise
+// equal to the per-row Surrogate::predict / LowFidelityModel::score at
+// any block size (including sizes that do not divide the pool and sizes
+// larger than it) and any thread count, and every tuner that scores the
+// pool must return the identical TuneResult at any block size.
 #include "tuner/pool_scorer.h"
 
 #include <gtest/gtest.h>
@@ -11,17 +10,37 @@
 #include <memory>
 #include <vector>
 
+#include "core/error.h"
 #include "core/parallel.h"
 #include "core/rng.h"
+#include "core/telemetry.h"
 #include "sim/workloads.h"
+#include "tuner/active_learning.h"
+#include "tuner/bayes_opt.h"
 #include "tuner/ceal.h"
+#include "tuner/geist.h"
 #include "tuner/low_fidelity.h"
 #include "tuner/measured_pool.h"
-#include "tuner/pool_features.h"
+#include "tuner/random_search.h"
 #include "tuner/surrogate.h"
 
 namespace ceal::tuner {
 namespace {
+
+// 300 = 7 * 42 + 6, so 7 and 299 leave a short last block; 300 is one
+// exact block; 1000 and the 8192 default exceed the pool.
+constexpr std::size_t kBlockSizes[] = {1, 7, 299, 300, 1000, 8192};
+constexpr std::size_t kThreadCounts[] = {1, 4};
+
+void expect_same_result(const TuneResult& want, const TuneResult& got) {
+  ASSERT_EQ(want.best_predicted_index, got.best_predicted_index);
+  ASSERT_EQ(want.best_measured_index, got.best_measured_index);
+  ASSERT_EQ(want.measured_indices, got.measured_indices);
+  ASSERT_EQ(want.model_scores.size(), got.model_scores.size());
+  for (std::size_t i = 0; i < want.model_scores.size(); ++i) {
+    ASSERT_EQ(want.model_scores[i], got.model_scores[i]) << "row " << i;
+  }
+}
 
 class PoolScorerTest : public ::testing::Test {
  protected:
@@ -58,111 +77,104 @@ class PoolScorerTest : public ::testing::Test {
     return LowFidelityModel(wl_.workflow, Objective::kExecTime, components);
   }
 
+  TuningProblem problem() {
+    return TuningProblem{&wl_, Objective::kExecTime, &pool_, &comps_, true,
+                         {}};
+  }
+
   sim::Workload wl_;
   MeasuredPool pool_;
   std::vector<ComponentSamples> comps_;
 };
 
-TEST_F(PoolScorerTest, ChunkedFeaturizationMatchesMonolithicRows) {
-  const PoolFeatures whole = featurize_pool(wl_.workflow, pool_.configs);
-  // Chunk sizes that divide the pool, that do not (300 = 7*42 + 6), and
-  // that exceed it — each at 1 and 4 workers.
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ceal::set_global_thread_pool_threads(threads);
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
-                                    std::size_t{50}, std::size_t{299},
-                                    std::size_t{300}, std::size_t{1000}}) {
-      std::size_t rows_seen = 0;
-      featurize_pool_chunked(
-          wl_.workflow, pool_.configs, chunk,
-          [&](std::size_t first, const PoolFeatures& block) {
-            ASSERT_EQ(first, rows_seen);
-            ASSERT_LE(block.size(), chunk);
-            ASSERT_EQ(block.components.size(), whole.components.size());
-            for (std::size_t r = 0; r < block.size(); ++r) {
-              const auto want = whole.joint.row(first + r);
-              const auto got = block.joint.row(r);
-              ASSERT_EQ(want.size(), got.size());
-              for (std::size_t k = 0; k < got.size(); ++k) {
-                ASSERT_EQ(want[k], got[k]) << "chunk " << chunk;
-              }
-              for (std::size_t j = 0; j < block.components.size(); ++j) {
-                const auto cwant = whole.components[j].row(first + r);
-                const auto cgot = block.components[j].row(r);
-                ASSERT_EQ(cwant.size(), cgot.size());
-                for (std::size_t k = 0; k < cgot.size(); ++k) {
-                  ASSERT_EQ(cwant[k], cgot[k]);
-                }
-              }
-            }
-            rows_seen += block.size();
-          });
-      ASSERT_EQ(rows_seen, pool_.configs.size());
-    }
-  }
-}
-
-TEST_F(PoolScorerTest, StreamingScoresBitwiseEqualCached) {
+TEST_F(PoolScorerTest, SurrogateScoresBitwiseEqualPerRowPredict) {
   const Surrogate surrogate = fitted_surrogate();
-  const LowFidelityModel model = low_fidelity();
-
-  const PoolScorer cached(wl_.workflow, pool_.configs, 0, nullptr);
-  ASSERT_FALSE(cached.streaming());
-  const auto surr_cached = cached.surrogate_scores(surrogate);
-  const auto low_cached = cached.low_fidelity_scores(model);
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  std::vector<double> want;
+  for (const auto& c : pool_.configs) {
+    want.push_back(surrogate.predict(wl_.workflow.joint_space(), c));
+  }
+  for (const std::size_t threads : kThreadCounts) {
     ceal::set_global_thread_pool_threads(threads);
-    for (const std::size_t chunk : {std::size_t{64}, std::size_t{299}}) {
-      const PoolScorer streaming(wl_.workflow, pool_.configs, chunk,
-                                 nullptr);
-      ASSERT_TRUE(streaming.streaming());
-      const auto surr = streaming.surrogate_scores(surrogate);
-      const auto low = streaming.low_fidelity_scores(model);
-      ASSERT_EQ(surr.size(), surr_cached.size());
-      ASSERT_EQ(low.size(), low_cached.size());
-      for (std::size_t i = 0; i < surr.size(); ++i) {
-        ASSERT_EQ(surr[i], surr_cached[i]) << "chunk " << chunk;
-        ASSERT_EQ(low[i], low_cached[i]) << "chunk " << chunk;
+    for (const std::size_t block : kBlockSizes) {
+      const PoolScorer scorer(wl_.workflow, pool_.configs, block, nullptr);
+      const auto got = scorer.surrogate_scores(surrogate);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i], want[i])
+            << "block " << block << ", threads " << threads << ", row " << i;
       }
     }
   }
 }
 
-TEST_F(PoolScorerTest, JointRowAgreesBetweenModes) {
-  const PoolScorer cached(wl_.workflow.joint_space(), pool_.configs, 0,
-                          nullptr);
-  const PoolScorer streaming(wl_.workflow.joint_space(), pool_.configs, 32,
-                             nullptr);
-  for (const std::size_t i : {std::size_t{0}, std::size_t{150},
-                              pool_.configs.size() - 1}) {
-    const auto want = cached.joint_row(i);
-    const auto got = streaming.joint_row(i);
-    ASSERT_EQ(want.size(), got.size());
-    for (std::size_t k = 0; k < want.size(); ++k) {
-      ASSERT_EQ(want[k], got[k]);
+TEST_F(PoolScorerTest, LowFidelityScoresBitwiseEqualPerRowScore) {
+  const LowFidelityModel model = low_fidelity();
+  std::vector<double> want;
+  for (const auto& c : pool_.configs) want.push_back(model.score(c));
+  for (const std::size_t threads : kThreadCounts) {
+    ceal::set_global_thread_pool_threads(threads);
+    for (const std::size_t block : kBlockSizes) {
+      const PoolScorer scorer(wl_.workflow, pool_.configs, block, nullptr);
+      const auto got = scorer.low_fidelity_scores(model);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i], want[i])
+            << "block " << block << ", threads " << threads << ", row " << i;
+      }
     }
   }
 }
 
+TEST_F(PoolScorerTest, CountsOneChunkPerBlockAndRejectsZeroBlockSize) {
+  telemetry::Telemetry tel;
+  const PoolScorer scorer(wl_.workflow, pool_.configs, 77, &tel);
+  scorer.surrogate_scores(fitted_surrogate());
+  EXPECT_EQ(tel.counter("pool.chunks"), 4u);  // 77 + 77 + 77 + 69
+  EXPECT_EQ(tel.counter("pool.chunk.rows"), 300u);
+  EXPECT_THROW(PoolScorer(wl_.workflow, pool_.configs, 0, nullptr),
+               PreconditionError);
+}
+
 TEST_F(PoolScorerTest, CealWithChunkedPoolReturnsIdenticalResult) {
-  TuningProblem problem{&wl_, Objective::kExecTime, &pool_, &comps_, true,
-                        {}};
+  TuningProblem p = problem();
   Ceal ceal;
-  ceal::Rng rng_cached(31);
-  const TuneResult cached = ceal.tune(problem, 25, rng_cached);
+  ceal::Rng rng_default(31);
+  const TuneResult by_default = ceal.tune(p, 25, rng_default);
 
-  problem.pool_chunk_rows = 77;  // does not divide the 300-entry pool
+  p.pool_chunk_rows = 77;  // does not divide the 300-entry pool
   ceal::Rng rng_chunked(31);
-  const TuneResult chunked = ceal.tune(problem, 25, rng_chunked);
+  expect_same_result(by_default, ceal.tune(p, 25, rng_chunked));
+}
 
-  ASSERT_EQ(cached.best_predicted_index, chunked.best_predicted_index);
-  ASSERT_EQ(cached.best_measured_index, chunked.best_measured_index);
-  ASSERT_EQ(cached.measured_indices, chunked.measured_indices);
-  ASSERT_EQ(cached.model_scores.size(), chunked.model_scores.size());
-  for (std::size_t i = 0; i < cached.model_scores.size(); ++i) {
-    ASSERT_EQ(cached.model_scores[i], chunked.model_scores[i]);
+TEST_F(PoolScorerTest, OtherTunersIndependentOfBlockSize) {
+  BayesOptParams bo_ceal;
+  bo_ceal.bootstrap_with_low_fidelity = true;
+  const RandomSearch rs;
+  const Geist geist;
+  const ActiveLearning al;
+  const BayesOpt bo(bo_ceal);
+  for (const AutoTuner* tuner :
+       std::initializer_list<const AutoTuner*>{&rs, &geist, &al, &bo}) {
+    SCOPED_TRACE(tuner->name());
+    TuningProblem p = problem();
+    ceal::Rng rng_default(17);
+    const TuneResult by_default = tuner->tune(p, 25, rng_default);
+    p.pool_chunk_rows = 77;
+    ceal::Rng rng_chunked(17);
+    expect_same_result(by_default, tuner->tune(p, 25, rng_chunked));
   }
+}
+
+TEST_F(PoolScorerTest, CealResultIndependentOfThreadCount) {
+  const TuningProblem p = problem();
+  Ceal ceal;
+  std::vector<TuneResult> results;
+  for (const std::size_t threads : kThreadCounts) {
+    ceal::set_global_thread_pool_threads(threads);
+    ceal::Rng rng(31);
+    results.push_back(ceal.tune(p, 25, rng));
+  }
+  expect_same_result(results[0], results[1]);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "core/error.h"
 #include "core/rng.h"
+#include "ml/dataset.h"
 
 namespace ceal::tuner {
 namespace {
@@ -93,10 +94,14 @@ TEST(Surrogate, PredictManyMatchesPredict) {
   std::vector<double> targets{30.0, 20.0, 10.0};
   Surrogate model;
   model.fit(space, configs, targets, rng);
-  const auto many = model.predict_many(space, configs);
+  ml::FeatureMatrix rows(space.dimension(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    rows.set_row(i, space.features(configs[i]));
+  }
+  const auto many = model.predict_many(rows);
   ASSERT_EQ(many.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(many[i], model.predict(space, configs[i]));
+    EXPECT_EQ(many[i], model.predict(space, configs[i]));
   }
 }
 

@@ -89,8 +89,8 @@ constexpr const char* kUsage =
     "  [--gbt-bins N]           quantized bins per feature, 2..256\n"
     "                           (default 256)\n"
     "  [--compiled-predictor]   flatten trained trees for batch inference\n"
-    "  [--pool-chunk N]         stream pool scoring in N-row blocks\n"
-    "                           (bounded memory; default 0 = cache)";
+    "  Pool scoring always streams the pool in 8192-row blocks; results\n"
+    "  do not depend on the block size.";
 
 ceal::ml::TreeMethod backend_by_name(const std::string& name) {
   if (name == "exact") return ceal::ml::TreeMethod::kExact;
@@ -150,8 +150,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool compiled_predictor = args.flag("compiled-predictor");
-  const auto pool_chunk =
-      static_cast<std::size_t>(args.integer("pool-chunk", 0));
   // Empty means "not given": the default path keeps problem.measure
   // null (the paper's inline collector); an explicit `inproc` installs
   // the InProcessBackend to exercise the backend seam.
@@ -208,11 +206,10 @@ int main(int argc, char** argv) {
   problem.measurement.faults.validate();
 
   // Performance knobs (all default to the pinned reproduction path: exact
-  // trainer, tree-walk predictor, cached pool featurization).
+  // trainer, tree-walk predictor).
   problem.surrogate_gbt.tree.method = gbt_method;
   problem.surrogate_gbt.tree.max_bins = gbt_bins;
   problem.surrogate_gbt.compile_predictor = compiled_predictor;
-  problem.pool_chunk_rows = pool_chunk;
 
   // Observability: any of --trace / --verbose / --metrics-summary attaches
   // a Telemetry to the session. Tracing never writes to stdout, so seeded

@@ -168,6 +168,61 @@ grep -q '"ok":false' "$serve_dir/responses.txt" \
 diff "$trace_dir/uninterrupted.csv" "$serve_dir/served.csv" \
   || { echo "daemon kill+resume changed the tuning result"; exit 1; }
 
+echo "== tier-1: hostile-client gate =="
+# A daemon outlives its clients (docs/SERVING.md): a socket daemon with
+# one session already created is sent a client that hangs up before
+# reading its responses, a line of 200k nested brackets, and a line over
+# the request-length cap. It must answer the two bad lines with one-line
+# errors, keep answering server.stats, finish the first session with a
+# result CSV byte-equal to the solo ceal_tune run above, and drain with
+# exit 0 on SIGTERM.
+hostile_dir="$trace_dir/hostile"
+mkdir -p "$hostile_dir"
+hsock="$hostile_dir/serve.sock"
+# sock_client read|hangup: sends stdin over one connection, then prints
+# every response (read) or closes without reading any (hangup).
+sock_client_py='
+import socket, sys
+conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+conn.connect(sys.argv[1])
+conn.sendall(sys.stdin.buffer.read())
+if sys.argv[2] == "read":
+    conn.shutdown(socket.SHUT_WR)
+    while chunk := conn.recv(65536):
+        sys.stdout.buffer.write(chunk)
+conn.close()
+'
+sock_client() { python3 -c "$sock_client_py" "$hsock" "$1"; }
+./build/tools/ceal_serve --socket "$hsock" 2> "$hostile_dir/serve.log" &
+hostile_pid=$!
+for _ in $(seq 100); do [[ -S "$hsock" ]] && break; sleep 0.05; done
+[[ -S "$hsock" ]] || { echo "ceal_serve did not open its socket"; exit 1; }
+printf '%s\n' "${serve_create/\"gate\"/\"hostile\"}" | sock_client read \
+  > "$hostile_dir/create.txt"
+grep -q '"ok":true' "$hostile_dir/create.txt" \
+  || { echo "hostile gate: session.create failed"; exit 1; }
+for _ in $(seq 2000); do printf '{"op":"server.stats"}\n'; done \
+  | sock_client hangup
+{ head -c 200000 /dev/zero | tr '\0' '['; echo; } | sock_client read \
+  > "$hostile_dir/deep.txt"
+grep -qF 'nesting deeper than 128' "$hostile_dir/deep.txt" \
+  || { echo "hostile gate: deep line not rejected with one error"; exit 1; }
+{ head -c 1100000 /dev/zero | tr '\0' 'x'; echo; } | sock_client read \
+  > "$hostile_dir/long.txt"
+grep -qF 'line longer than 1048576 bytes' "$hostile_dir/long.txt" \
+  || { echo "hostile gate: over-cap line not rejected with one error"; exit 1; }
+printf '{"op":"session.step","id":"hostile","steps":1000}\n{"op":"session.query","id":"hostile","save_result":"%s"}\n{"op":"server.stats"}\n' \
+    "$hostile_dir/served.csv" \
+  | sock_client read > "$hostile_dir/final.txt"
+[[ "$(grep -c '"ok":true' "$hostile_dir/final.txt")" -eq 3 ]] \
+  || { echo "hostile gate: daemon stopped answering after hostile clients"; exit 1; }
+diff "$trace_dir/uninterrupted.csv" "$hostile_dir/served.csv" \
+  || { echo "hostile clients changed the session's result"; exit 1; }
+kill -TERM "$hostile_pid"
+rc=0; wait "$hostile_pid" || rc=$?
+[[ "$rc" -eq 0 ]] \
+  || { echo "ceal_serve did not survive hostile clients (rc=$rc)"; exit 1; }
+
 echo "== tier-1: metrics exposition gate =="
 # Observability plane (docs/OBSERVABILITY.md): the same request script
 # through a daemon at --threads 1 and 4 with --metrics-export must
