@@ -45,8 +45,15 @@ bool file_non_empty(const std::string& path) {
   return !ec && size > 0;
 }
 
+/// True when `in` is a socket connection whose reader was cut off
+/// (FdStreambuf::cut) rather than ended by the peer.
+bool connection_cut(const std::istream& in);
+
 /// Reads one '\n'-terminated line (newline dropped) into `line`; false
-/// at end of input with nothing read. A line longer than
+/// at end of input with nothing read. An unterminated last line counts
+/// (stdio input need not end in a newline) unless the socket connection
+/// was cut under the reader: then it is a fragment of a request whose
+/// sender is gone, and it is dropped. A line longer than
 /// kMaxRequestLineBytes is consumed through its newline but not kept:
 /// `too_long` is set and `line` holds only its first
 /// kMaxRequestLineBytes bytes, so memory per connection stays bounded.
@@ -63,7 +70,7 @@ bool read_request_line(std::istream& in, std::string& line, bool& too_long) {
       too_long = true;
     }
   }
-  return !line.empty();
+  return !line.empty() && !connection_cut(in);
 }
 
 }  // namespace
@@ -574,13 +581,24 @@ class FdStreambuf final : public std::streambuf {
   }
   ~FdStreambuf() override { flush_buffer(); }
 
+  /// True once reading stopped for any reason but the peer's orderly
+  /// end of stream: it hung up mid-response, or a read failed. Reader
+  /// thread only.
+  bool cut() const { return cut_; }
+
  protected:
   int_type underflow() override {
     // A peer that stopped taking responses has hung up: stop reading
     // its remaining requests too.
-    if (closed_.load()) return traits_type::eof();
+    if (closed_.load()) {
+      cut_ = true;
+      return traits_type::eof();
+    }
     const ssize_t n = ::read(fd_, rbuf_, sizeof rbuf_);
-    if (n <= 0) return traits_type::eof();
+    if (n <= 0) {
+      cut_ = n < 0;
+      return traits_type::eof();
+    }
     setg(rbuf_, rbuf_, rbuf_ + n);
     return traits_type::to_int_type(rbuf_[0]);
   }
@@ -618,9 +636,15 @@ class FdStreambuf final : public std::streambuf {
 
   int fd_;
   std::atomic<bool> closed_{false};
+  bool cut_ = false;
   char rbuf_[4096];
   char wbuf_[4096];
 };
+
+bool connection_cut(const std::istream& in) {
+  const auto* socket = dynamic_cast<const FdStreambuf*>(in.rdbuf());
+  return socket != nullptr && socket->cut();
+}
 
 }  // namespace
 
@@ -667,6 +691,10 @@ void serve_unix_socket(ServerCore& core, const std::string& socket_path,
 }
 
 #else
+
+namespace {
+bool connection_cut(const std::istream&) { return false; }
+}  // namespace
 
 void serve_unix_socket(ServerCore&, const std::string&, std::size_t,
                        const std::function<bool()>&) {

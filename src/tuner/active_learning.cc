@@ -1,14 +1,9 @@
 #include "tuner/active_learning.h"
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "core/error.h"
 #include "core/telemetry.h"
-#include "tuner/collector.h"
-#include "tuner/pool_scorer.h"
-#include "tuner/stepper.h"
 #include "tuner/surrogate.h"
 #include "tuner/tuning_util.h"
 
@@ -22,87 +17,30 @@ ActiveLearning::ActiveLearning(ActiveLearningParams params)
 
 namespace {
 
-// AL sliced at its natural boundaries: the random warm-up batch, one
-// fit/score/measure refinement per step, the final fit.
-class ActiveLearningStepper final : public TunerStepper {
+// AL: the shared refinement loop around a boosted-tree surrogate, refit
+// and rescored over the whole pool every iteration.
+class ActiveLearningStepper final : public RefinementStepper {
  public:
   ActiveLearningStepper(const ActiveLearning& algorithm,
                         const ActiveLearningParams& params,
                         const TuningProblem& problem, std::size_t budget_runs,
                         ceal::Rng& rng)
-      : TunerStepper(problem, budget_runs, rng),
-        params_(params),
-        collector_(problem_, budget_runs, rng_),
-        // The pool is rescored every iteration.
-        pool_scorer_(problem_.workload->workflow, problem_.pool->configs,
-                     problem_.pool_chunk_rows, problem_.telemetry),
-        surrogate_(problem_.surrogate_gbt) {
-    emit_tune_start(problem_, algorithm, budget_);
-  }
-
-  TunerProgress progress() const override {
-    return collector_progress(collector_);
-  }
+      : RefinementStepper(algorithm, "al.iteration", params.iterations,
+                          params.init_fraction, problem, budget_runs, rng),
+        surrogate_(problem_.surrogate_gbt) {}
 
  private:
-  enum class Phase { kWarmup, kLoop, kFinal };
-
-  void do_step() override {
-    telemetry::Telemetry* tel = problem_.telemetry;
-    if (phase_ == Phase::kWarmup) {
-      const auto warmup = std::max<std::size_t>(
-          2, static_cast<std::size_t>(std::llround(
-                 params_.init_fraction * static_cast<double>(budget_))));
-      measure_batch(collector_, random_unmeasured(collector_, warmup, *rng_));
-      batch_size_ = std::max<std::size_t>(
-          1, (budget_ - std::min(warmup, budget_)) / params_.iterations);
-      phase_ = Phase::kLoop;
-      return;
-    }
-    if (phase_ == Phase::kLoop) {
-      while (collector_.remaining() > 0) {
-        const std::size_t req_start = collector_.measured_indices().size();
-        const std::size_t ok_start = collector_.ok_values().size();
-        if (collector_.ok_indices().empty()) {
-          // Every warmup attempt failed; spend budget on fresh random
-          // configurations until the surrogate has something to train on.
-          const auto batch =
-              random_unmeasured(collector_, batch_size_, *rng_);
-          if (batch.empty()) break;
-          measure_batch(collector_, batch);
-          emit_iteration_event(problem_, "al.iteration", iteration_++,
-                               collector_, req_start, ok_start, 0.0, 0.0);
-          return;  // one iteration per step
-        }
-        const double fit_s = fit_on_measured(surrogate_, collector_, *rng_);
-        telemetry::ScopedCausalSpan predict_span(tel, "surrogate.predict");
-        const auto scores = pool_scorer_.surrogate_scores(surrogate_);
-        const double predict_s = predict_span.stop();
-        const auto batch = top_unmeasured(scores, collector_, batch_size_);
-        if (batch.empty()) break;
-        measure_batch(collector_, batch, scores, batch_size_);
-        emit_iteration_event(problem_, "al.iteration", iteration_++,
-                             collector_, req_start, ok_start, fit_s,
-                             predict_s);
-        return;  // one iteration per step
-      }
-      phase_ = Phase::kFinal;
-    }
-
-    fit_on_measured(surrogate_, collector_, *rng_);
-    telemetry::ScopedCausalSpan final_span(tel, "surrogate.predict");
-    auto scores = pool_scorer_.surrogate_scores(surrogate_);
-    final_span.stop();
-    finish(finalize_result(collector_, std::move(scores)));
+  Refinement refine() override {
+    Refinement out;
+    out.fit_s = fit_on_measured(surrogate_, collector_, *rng_);
+    telemetry::ScopedCausalSpan predict_span(problem_.telemetry,
+                                             "surrogate.predict");
+    out.scores = pool_scorer_.surrogate_scores(surrogate_);
+    out.predict_s = predict_span.stop();
+    return out;
   }
 
-  ActiveLearningParams params_;
-  Collector collector_;
-  const PoolScorer pool_scorer_;
   Surrogate surrogate_;
-  Phase phase_ = Phase::kWarmup;
-  std::size_t batch_size_ = 1;
-  std::size_t iteration_ = 0;
 };
 
 }  // namespace

@@ -8,27 +8,10 @@
 #include "core/telemetry.h"
 #include "ml/dataset.h"
 #include "ml/gbt.h"
-#include "tuner/collector.h"
 #include "tuner/low_fidelity.h"
-#include "tuner/stepper.h"
 #include "tuner/tuning_util.h"
 
 namespace ceal::tuner {
-
-namespace {
-
-/// Joint-config features augmented with per-component model predictions.
-std::vector<double> augmented_features(const sim::InSituWorkflow& workflow,
-                                       const ComponentModelSet& components,
-                                       const config::Configuration& joint) {
-  std::vector<double> f = workflow.joint_space().features(joint);
-  for (std::size_t j = 0; j < workflow.component_count(); ++j) {
-    f.push_back(components.predict(j, workflow.space().slice(joint, j)));
-  }
-  return f;
-}
-
-}  // namespace
 
 Alph::Alph(AlphParams params) : params_(params) {
   CEAL_EXPECT(params_.iterations >= 1);
@@ -39,27 +22,42 @@ Alph::Alph(AlphParams params) : params_(params) {
 
 namespace {
 
-// ALpH sliced at its natural boundaries: component-model training plus
-// pool featurization first, the random warm-up, one fit/score/measure
-// refinement per step, the final fit.
-class AlphStepper final : public TunerStepper {
+// ALpH: the shared refinement loop around a boosted-tree model M'_0 over
+// joint features augmented with the component models' predictions. The
+// component models are trained in a preparation step of their own.
+class AlphStepper final : public RefinementStepper {
  public:
   AlphStepper(const Alph& algorithm, const AlphParams& params,
               const TuningProblem& problem, std::size_t budget_runs,
               ceal::Rng& rng)
-      : TunerStepper(problem, budget_runs, rng),
+      : RefinementStepper(algorithm, "alph.iteration", params.iterations,
+                          params.init_fraction, problem, budget_runs, rng),
         params_(params),
-        collector_(problem_, budget_runs, rng_),
-        model_(ml::GradientBoostedTrees::surrogate_defaults()) {
-    emit_tune_start(problem_, algorithm, budget_);
-  }
-
-  TunerProgress progress() const override {
-    return collector_progress(collector_);
-  }
+        model_(problem_.surrogate_gbt),
+        component_columns_(problem_.workload->workflow.component_count(),
+                           problem_.pool->size()) {}
 
  private:
-  enum class Phase { kComponents, kWarmup, kLoop, kFinal };
+  // Component models (free history when available, otherwise charged
+  // runs), then their predictions for every pool row, computed once.
+  bool prepare() override {
+    const auto& workflow = problem_.workload->workflow;
+    const auto rounds = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::llround(
+               params_.component_fraction * static_cast<double>(budget_))));
+    const ComponentModelSet components(
+        workflow, problem_.objective, *problem_.component_samples,
+        component_sample_indices(collector_, rounds, *rng_), *rng_,
+        problem_.surrogate_gbt);
+    const auto& configs = problem_.pool->configs;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      const auto row = component_columns_.mutable_row(i);
+      for (std::size_t j = 0; j < row.size(); ++j) {
+        row[j] = components.predict(j, workflow.space().slice(configs[i], j));
+      }
+    }
+    return true;
+  }
 
   // Same log-target treatment as Surrogate (times span decades). Only
   // successful measurements train the model — failed entries carry no
@@ -68,111 +66,51 @@ class AlphStepper final : public TunerStepper {
     telemetry::Telemetry* tel = problem_.telemetry;
     if (tel != nullptr) tel->count("surrogate.fits");
     telemetry::ScopedCausalSpan span(tel, "surrogate.fit");
+    const auto& space = problem_.workload->workflow.joint_space();
     const auto& indices = collector_.ok_indices();
     const auto& values = collector_.ok_values();
-    ml::Dataset data(width_);
+    ml::Dataset data(space.dimension() + component_columns_.n_features());
     for (std::size_t s = 0; s < indices.size(); ++s) {
       CEAL_EXPECT(std::isfinite(values[s]) && values[s] > 0.0);
-      data.add(pool_features_[indices[s]], std::log(values[s]));
+      std::vector<double> row =
+          space.features(problem_.pool->configs[indices[s]]);
+      const auto extra = component_columns_.row(indices[s]);
+      row.insert(row.end(), extra.begin(), extra.end());
+      data.add(row, std::log(values[s]));
     }
     model_.fit(data, *rng_);
     return span.stop();
   }
 
-  std::vector<double> predict_pool(double* elapsed_s = nullptr) {
+  Refinement refine() override {
+    Refinement out;
+    out.fit_s = fit();
     telemetry::ScopedCausalSpan span(problem_.telemetry, "surrogate.predict");
-    const std::size_t pool_size = problem_.pool->size();
-    std::vector<double> scores(pool_size);
-    for (std::size_t i = 0; i < pool_size; ++i) {
-      scores[i] = std::exp(model_.predict(pool_features_[i]));
-    }
-    const double s = span.stop();
-    if (elapsed_s != nullptr) *elapsed_s = s;
-    return scores;
-  }
-
-  void do_step() override {
-    const auto& workflow = problem_.workload->workflow;
-    if (phase_ == Phase::kComponents) {
-      // Component models: free history when available, otherwise charged
-      // runs.
-      const std::vector<std::vector<std::size_t>>* component_indices =
-          nullptr;
-      if (problem_.components_are_history) {
-        component_indices = &collector_.all_component_samples();
-      } else {
-        const auto rounds = std::max<std::size_t>(
-            1, static_cast<std::size_t>(
-                   std::llround(params_.component_fraction *
-                                static_cast<double>(budget_))));
-        component_indices =
-            &collector_.acquire_component_samples(rounds, *rng_);
-      }
-      components_ = std::make_unique<ComponentModelSet>(
-          workflow, problem_.objective, *problem_.component_samples,
-          *component_indices, *rng_);
-
-      // Pre-compute the augmented feature rows for the whole pool once.
-      const std::size_t pool_size = problem_.pool->size();
-      width_ = workflow.joint_space().dimension() + workflow.component_count();
-      pool_features_.resize(pool_size);
-      for (std::size_t i = 0; i < pool_size; ++i) {
-        pool_features_[i] = augmented_features(workflow, *components_,
-                                               problem_.pool->configs[i]);
-      }
-      phase_ = Phase::kWarmup;
-      return;
-    }
-    if (phase_ == Phase::kWarmup) {
-      const auto warmup = std::max<std::size_t>(
-          2, static_cast<std::size_t>(std::llround(
-                 params_.init_fraction * static_cast<double>(budget_))));
-      measure_batch(collector_, random_unmeasured(collector_, warmup, *rng_));
-      batch_size_ = std::max<std::size_t>(
-          1, (budget_ - std::min(warmup, budget_)) / params_.iterations);
-      phase_ = Phase::kLoop;
-      return;
-    }
-    if (phase_ == Phase::kLoop) {
-      while (collector_.remaining() > 0) {
-        const std::size_t req_start = collector_.measured_indices().size();
-        const std::size_t ok_start = collector_.ok_values().size();
-        if (collector_.ok_indices().empty()) {
-          const auto batch =
-              random_unmeasured(collector_, batch_size_, *rng_);
-          if (batch.empty()) break;
-          measure_batch(collector_, batch);
-          emit_iteration_event(problem_, "alph.iteration", iteration_++,
-                               collector_, req_start, ok_start, 0.0, 0.0);
-          return;  // one iteration per step
-        }
-        const double fit_s = fit();
-        double predict_s = 0.0;
-        const auto scores = predict_pool(&predict_s);
-        const auto batch = top_unmeasured(scores, collector_, batch_size_);
-        if (batch.empty()) break;
-        measure_batch(collector_, batch, scores, batch_size_);
-        emit_iteration_event(problem_, "alph.iteration", iteration_++,
-                             collector_, req_start, ok_start, fit_s,
-                             predict_s);
-        return;  // one iteration per step
-      }
-      phase_ = Phase::kFinal;
-    }
-
-    fit();
-    finish(finalize_result(collector_, predict_pool()));
+    out.scores = pool_scorer_.joint_scores(
+        [&](std::size_t first, const ml::FeatureMatrix& joint) {
+          ml::FeatureMatrix rows(
+              joint.n_features() + component_columns_.n_features(),
+              joint.size());
+          for (std::size_t i = 0; i < joint.size(); ++i) {
+            const auto features = joint.row(i);
+            const auto extra = component_columns_.row(first + i);
+            const auto row = rows.mutable_row(i);
+            std::copy(features.begin(), features.end(), row.begin());
+            std::copy(extra.begin(), extra.end(),
+                      row.begin() + features.size());
+          }
+          std::vector<double> scores = model_.predict_matrix(rows);
+          for (double& score : scores) score = std::exp(score);
+          return scores;
+        });
+    out.predict_s = span.stop();
+    return out;
   }
 
   AlphParams params_;
-  Collector collector_;
   ml::GradientBoostedTrees model_;
-  std::unique_ptr<ComponentModelSet> components_;
-  std::vector<std::vector<double>> pool_features_;
-  std::size_t width_ = 0;
-  Phase phase_ = Phase::kComponents;
-  std::size_t batch_size_ = 1;
-  std::size_t iteration_ = 0;
+  /// Row i: every component model's prediction for pool row i.
+  ml::FeatureMatrix component_columns_;
 };
 
 }  // namespace
@@ -180,6 +118,7 @@ class AlphStepper final : public TunerStepper {
 std::unique_ptr<TunerStepper> Alph::make_stepper(const TuningProblem& problem,
                                                  std::size_t budget_runs,
                                                  ceal::Rng& rng) const {
+  require_component_budget(problem, *this, budget_runs);
   return std::make_unique<AlphStepper>(*this, params_, problem, budget_runs,
                                        rng);
 }

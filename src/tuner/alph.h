@@ -24,6 +24,8 @@ class Alph final : public AutoTuner {
   explicit Alph(AlphParams params = {});
 
   std::string name() const override { return "ALpH"; }
+  /// One component round plus one workflow run.
+  std::size_t min_charged_budget() const override { return 2; }
 
   std::unique_ptr<TunerStepper> make_stepper(const TuningProblem& problem,
                                              std::size_t budget_runs,

@@ -4,6 +4,7 @@
 #include "core/telemetry.h"
 #include "tuner/checkpoint.h"
 #include "tuner/stepper.h"
+#include "tuner/tuning_util.h"
 
 namespace ceal::tuner {
 
@@ -57,6 +58,8 @@ std::unique_ptr<TunerStepper> AutoTuner::make_stepper(
     const TuningProblem& problem, std::size_t budget_runs, ceal::Rng& rng,
     CheckpointSession* checkpoint) const {
   if (checkpoint == nullptr) return make_stepper(problem, budget_runs, rng);
+  // Refuse a session that cannot run before journaling anything.
+  require_component_budget(problem, *this, budget_runs);
   // The header captures the rng state *before* any draw (the Collector
   // splits the fault stream off it first thing), so resume can verify
   // the caller reseeded identically.

@@ -45,6 +45,12 @@ class AutoTuner {
 
   virtual std::string name() const = 0;
 
+  /// Fewest budget_runs a session needs when the problem charges
+  /// component runs: the component rounds must leave workflow runs to
+  /// train on. 0 for tuners that charge none. make_stepper refuses a
+  /// smaller budget (require_component_budget) before it journals.
+  virtual std::size_t min_charged_budget() const { return 0; }
+
   /// Creates a resumable step-wise session (tuner/stepper.h): each
   /// step() runs one bounded slice (a warm-up batch, one refinement
   /// iteration, the finalisation pass) and yields, so a server can

@@ -9,10 +9,7 @@
 #include "core/telemetry.h"
 #include "ml/dataset.h"
 #include "ml/gbt.h"
-#include "tuner/collector.h"
 #include "tuner/low_fidelity.h"
-#include "tuner/pool_scorer.h"
-#include "tuner/stepper.h"
 #include "tuner/tuning_util.h"
 
 namespace ceal::tuner {
@@ -22,9 +19,12 @@ namespace {
 /// Bootstrapped boosted-tree ensemble over log targets.
 class Ensemble {
  public:
-  Ensemble(std::size_t members, ceal::Rng& rng)
-      : members_(members), rng_(&rng) {
+  /// `gbt` configures every member; the rounds are overridden to 80,
+  /// since the ensemble amortises them.
+  Ensemble(std::size_t members, const ml::GbtParams& gbt, ceal::Rng& rng)
+      : members_(members), params_(gbt), rng_(&rng) {
     CEAL_EXPECT(members >= 2);
+    params_.n_rounds = 80;
   }
 
   void fit(const config::ConfigSpace& space,
@@ -34,8 +34,6 @@ class Ensemble {
     models_.clear();
     models_.reserve(members_);
     const std::size_t n = configs.size();
-    ml::GbtParams params = ml::GradientBoostedTrees::surrogate_defaults();
-    params.n_rounds = 80;  // ensembles amortise the rounds
     for (std::size_t k = 0; k < members_; ++k) {
       ml::Dataset data(space.dimension());
       for (std::size_t i = 0; i < n; ++i) {
@@ -43,29 +41,39 @@ class Ensemble {
         CEAL_EXPECT(targets[pick] > 0.0);
         data.add(space.features(configs[pick]), std::log(targets[pick]));
       }
-      ml::GradientBoostedTrees model(params);
+      ml::GradientBoostedTrees model(params_);
       model.fit(data, *rng_);
       models_.push_back(std::move(model));
     }
   }
 
-  bool is_fitted() const { return !models_.empty(); }
-
-  /// Mean and standard deviation of the ensemble in *time* units.
-  void predict(const config::ConfigSpace& space,
-               const config::Configuration& c, double& mu,
-               double& sigma) const {
-    std::vector<double> preds(models_.size());
-    const auto f = space.features(c);
-    for (std::size_t k = 0; k < models_.size(); ++k) {
-      preds[k] = std::exp(models_[k].predict(f));
-    }
-    mu = ceal::mean(preds);
-    sigma = preds.size() >= 2 ? ceal::stddev(preds) : 0.0;
+  /// mu - kappa * sigma for every pool row, from the ensemble's mean
+  /// and standard deviation in *time* units; kappa = 0 is the mean.
+  std::vector<double> lower_bounds(const PoolScorer& scorer,
+                                   double kappa) const {
+    return scorer.joint_scores(
+        [&](std::size_t, const ml::FeatureMatrix& block) {
+          std::vector<std::vector<double>> member_preds;
+          member_preds.reserve(models_.size());
+          for (const auto& model : models_) {
+            member_preds.push_back(model.predict_matrix(block));
+          }
+          std::vector<double> out(block.size());
+          std::vector<double> preds(models_.size());
+          for (std::size_t i = 0; i < block.size(); ++i) {
+            for (std::size_t k = 0; k < models_.size(); ++k) {
+              preds[k] = std::exp(member_preds[k][i]);
+            }
+            const double mu = ceal::mean(preds);
+            out[i] = kappa == 0.0 ? mu : mu - kappa * ceal::stddev(preds);
+          }
+          return out;
+        });
   }
 
  private:
   std::size_t members_;
+  ml::GbtParams params_;
   ceal::Rng* rng_;
   std::vector<ml::GradientBoostedTrees> models_;
 };
@@ -82,140 +90,77 @@ BayesOpt::BayesOpt(BayesOptParams params) : params_(params) {
 
 namespace {
 
-// BO sliced at its natural boundaries: the initial design (random or
-// low-fidelity-seeded), one fit/acquire/measure refinement per step, the
-// final exploration-free ranking.
-class BayesOptStepper final : public TunerStepper {
+// BO: the shared refinement loop around the bootstrapped ensemble, with
+// an LCB acquisition; BO-CEAL seeds the initial design from the
+// low-fidelity model.
+class BayesOptStepper final : public RefinementStepper {
  public:
   BayesOptStepper(const BayesOpt& algorithm, const BayesOptParams& params,
                   const TuningProblem& problem, std::size_t budget_runs,
                   ceal::Rng& rng)
-      : TunerStepper(problem, budget_runs, rng),
+      : RefinementStepper(algorithm, "bo.iteration", params.iterations,
+                          params.init_fraction, problem, budget_runs, rng),
         params_(params),
-        collector_(problem_, budget_runs, rng_),
-        ensemble_(params_.ensemble_size, *rng_) {
-    emit_tune_start(problem_, algorithm, budget_);
-  }
-
-  TunerProgress progress() const override {
-    return collector_progress(collector_);
-  }
+        ensemble_(params_.ensemble_size, problem_.surrogate_gbt, *rng_) {}
 
  private:
-  enum class Phase { kInit, kLoop, kFinal };
+  std::vector<std::size_t> initial_design(std::size_t count) override {
+    if (!params_.bootstrap_with_low_fidelity) {
+      return RefinementStepper::initial_design(count);
+    }
+    const auto& workflow = problem_.workload->workflow;
+    // Charged rounds leave at least two workflow runs (make_stepper
+    // requires a budget of 3).
+    const std::size_t m_r =
+        problem_.components_are_history
+            ? 0
+            : std::clamp<std::size_t>(
+                  static_cast<std::size_t>(std::llround(
+                      params_.mR_fraction * static_cast<double>(budget_))),
+                  1, budget_ - 2);
+    auto components = std::make_shared<const ComponentModelSet>(
+        workflow, problem_.objective, *problem_.component_samples,
+        component_sample_indices(collector_, m_r, *rng_), *rng_,
+        problem_.surrogate_gbt);
+    const LowFidelityModel low_fidelity(workflow, problem_.objective,
+                                        components);
+    const auto low_scores = pool_scorer_.low_fidelity_scores(low_fidelity);
+    return top_unmeasured(low_scores, collector_,
+                          std::min(count, collector_.remaining()));
+  }
 
   double refit() {
     telemetry::Telemetry* tel = problem_.telemetry;
     if (tel != nullptr) tel->count("surrogate.fits");
     telemetry::ScopedCausalSpan span(tel, "surrogate.fit");
-    train_configs_.clear();
+    std::vector<config::Configuration> configs;
     for (const std::size_t i : collector_.ok_indices()) {
-      train_configs_.push_back(problem_.pool->configs[i]);
+      configs.push_back(problem_.pool->configs[i]);
     }
-    ensemble_.fit(problem_.workload->workflow.joint_space(), train_configs_,
+    ensemble_.fit(problem_.workload->workflow.joint_space(), configs,
                   collector_.ok_values());
     return span.stop();
   }
 
-  void do_step() override {
-    telemetry::Telemetry* tel = problem_.telemetry;
-    const auto& workflow = problem_.workload->workflow;
-    const auto& space = workflow.joint_space();
-    const std::size_t pool_size = problem_.pool->size();
-    if (phase_ == Phase::kInit) {
-      // Initial design: random, or bootstrapped by the low-fidelity model.
-      const auto init = std::max<std::size_t>(
-          2, static_cast<std::size_t>(std::llround(
-                 params_.init_fraction * static_cast<double>(budget_))));
-      if (params_.bootstrap_with_low_fidelity) {
-        const std::vector<std::vector<std::size_t>>* component_indices;
-        if (problem_.components_are_history) {
-          component_indices = &collector_.all_component_samples();
-        } else {
-          const auto m_r = std::clamp<std::size_t>(
-              static_cast<std::size_t>(std::llround(
-                  params_.mR_fraction * static_cast<double>(budget_))),
-              1, budget_ - 2);
-          component_indices =
-              &collector_.acquire_component_samples(m_r, *rng_);
-        }
-        auto components = std::make_shared<const ComponentModelSet>(
-            workflow, problem_.objective, *problem_.component_samples,
-            *component_indices, *rng_);
-        const LowFidelityModel low_fidelity(workflow, problem_.objective,
-                                            components);
-        const auto low_scores =
-            PoolScorer(workflow, problem_.pool->configs,
-                       problem_.pool_chunk_rows, tel)
-                .low_fidelity_scores(low_fidelity);
-        measure_batch(collector_,
-                      top_unmeasured(low_scores, collector_,
-                                     std::min(init, collector_.remaining())));
-      } else {
-        measure_batch(collector_,
-                      random_unmeasured(collector_, init, *rng_));
-      }
-      batch_size_ = std::max<std::size_t>(
-          1, (budget_ - std::min(init, budget_)) / params_.iterations);
-      phase_ = Phase::kLoop;
-      return;
-    }
-    if (phase_ == Phase::kLoop) {
-      while (collector_.remaining() > 0) {
-        const std::size_t req_start = collector_.measured_indices().size();
-        const std::size_t ok_start = collector_.ok_values().size();
-        if (collector_.ok_indices().empty()) {
-          const auto batch =
-              random_unmeasured(collector_, batch_size_, *rng_);
-          if (batch.empty()) break;
-          measure_batch(collector_, batch);
-          emit_iteration_event(problem_, "bo.iteration", iteration_++,
-                               collector_, req_start, ok_start, 0.0, 0.0);
-          return;  // one iteration per step
-        }
-        const double fit_s = refit();
-        // LCB acquisition: optimistic lower bound, lower = more
-        // attractive.
-        telemetry::ScopedCausalSpan predict_span(tel, "surrogate.predict");
-        std::vector<double> acquisition(pool_size);
-        for (std::size_t i = 0; i < pool_size; ++i) {
-          double mu = 0.0, sigma = 0.0;
-          ensemble_.predict(space, problem_.pool->configs[i], mu, sigma);
-          acquisition[i] = mu - params_.kappa * sigma;
-        }
-        const double predict_s = predict_span.stop();
-        const auto batch =
-            top_unmeasured(acquisition, collector_, batch_size_);
-        if (batch.empty()) break;
-        measure_batch(collector_, batch, acquisition, batch_size_);
-        emit_iteration_event(problem_, "bo.iteration", iteration_++,
-                             collector_, req_start, ok_start, fit_s,
-                             predict_s);
-        return;  // one iteration per step
-      }
-      phase_ = Phase::kFinal;
-    }
+  // LCB acquisition: optimistic lower bound, lower = more attractive.
+  Refinement refine() override {
+    Refinement out;
+    out.fit_s = refit();
+    telemetry::ScopedCausalSpan span(problem_.telemetry, "surrogate.predict");
+    out.scores = ensemble_.lower_bounds(pool_scorer_, params_.kappa);
+    out.predict_s = span.stop();
+    return out;
+  }
 
-    // Final ranking uses the ensemble mean (no exploration bonus).
+  // Final ranking uses the ensemble mean (no exploration bonus).
+  std::vector<double> final_scores() override {
     refit();
-    telemetry::ScopedCausalSpan final_span(tel, "surrogate.predict");
-    std::vector<double> scores(pool_size);
-    for (std::size_t i = 0; i < pool_size; ++i) {
-      double mu = 0.0, sigma = 0.0;
-      ensemble_.predict(space, problem_.pool->configs[i], mu, sigma);
-      scores[i] = mu;
-    }
-    final_span.stop();
-    finish(finalize_result(collector_, std::move(scores)));
+    telemetry::ScopedCausalSpan span(problem_.telemetry, "surrogate.predict");
+    return ensemble_.lower_bounds(pool_scorer_, 0.0);
   }
 
   BayesOptParams params_;
-  Collector collector_;
   Ensemble ensemble_;
-  std::vector<config::Configuration> train_configs_;
-  Phase phase_ = Phase::kInit;
-  std::size_t batch_size_ = 1;
-  std::size_t iteration_ = 0;
 };
 
 }  // namespace
@@ -223,6 +168,7 @@ class BayesOptStepper final : public TunerStepper {
 std::unique_ptr<TunerStepper> BayesOpt::make_stepper(
     const TuningProblem& problem, std::size_t budget_runs,
     ceal::Rng& rng) const {
+  require_component_budget(problem, *this, budget_runs);
   return std::make_unique<BayesOptStepper>(*this, params_, problem,
                                            budget_runs, rng);
 }

@@ -39,6 +39,10 @@ class BayesOpt final : public AutoTuner {
   std::string name() const override {
     return params_.bootstrap_with_low_fidelity ? "BO-CEAL" : "BO";
   }
+  /// BO-CEAL: m_R >= 1 component rounds plus two workflow runs.
+  std::size_t min_charged_budget() const override {
+    return params_.bootstrap_with_low_fidelity ? 3 : 0;
+  }
 
   std::unique_ptr<TunerStepper> make_stepper(const TuningProblem& problem,
                                              std::size_t budget_runs,

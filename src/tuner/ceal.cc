@@ -73,20 +73,19 @@ class CealStepper final : public TunerStepper {
       const auto& workflow = problem_.workload->workflow;
       // ---- Phase 1: low-fidelity model via component combination (lines
       // 1-6). Historical samples are free; otherwise m_R is charged.
-      std::size_t m_r = 0;
-      const std::vector<std::vector<std::size_t>>* component_indices =
-          nullptr;
-      if (problem_.components_are_history) {
-        component_indices = &collector_.all_component_samples();
-      } else {
-        m_r = std::clamp<std::size_t>(
-            rounded_fraction(params_.mR_fraction, m), 1, m - 2);
-        component_indices = &collector_.acquire_component_samples(m_r, *rng_);
-      }
+      // Charged rounds leave at least two workflow runs (make_stepper
+      // requires a budget of 3).
+      const std::size_t m_r =
+          problem_.components_are_history
+              ? 0
+              : std::clamp<std::size_t>(
+                    rounded_fraction(params_.mR_fraction, m), 1, m - 2);
+      const auto& component_indices =
+          component_sample_indices(collector_, m_r, *rng_);
       telemetry::ScopedCausalSpan components_span(tel, "components.fit");
       auto components = std::make_shared<const ComponentModelSet>(
           workflow, problem_.objective, *problem_.component_samples,
-          *component_indices, *rng_, problem_.surrogate_gbt);
+          component_indices, *rng_, problem_.surrogate_gbt);
       const double components_fit_s = components_span.stop();
       const LowFidelityModel low_fidelity(workflow, problem_.objective,
                                           components);
@@ -409,6 +408,7 @@ std::unique_ptr<TunerStepper> Ceal::make_stepper(const TuningProblem& problem,
                           ? CealParams::with_history()
                           : CealParams::no_history())
                    : params_;
+  require_component_budget(problem, *this, budget_runs);
   return std::make_unique<CealStepper>(*this, params, problem, budget_runs,
                                        rng);
 }

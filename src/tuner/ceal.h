@@ -62,6 +62,8 @@ class Ceal final : public AutoTuner {
   Ceal() : params_(), auto_params_(true) {}
 
   std::string name() const override { return "CEAL"; }
+  /// m_R >= 1 component rounds plus two workflow runs.
+  std::size_t min_charged_budget() const override { return 3; }
 
   std::unique_ptr<TunerStepper> make_stepper(const TuningProblem& problem,
                                              std::size_t budget_runs,

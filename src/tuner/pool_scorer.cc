@@ -46,8 +46,8 @@ PoolScorer::PoolScorer(const sim::InSituWorkflow& workflow,
   CEAL_EXPECT_MSG(chunk_rows_ >= 1, "pool scoring needs chunk_rows >= 1");
 }
 
-std::vector<double> PoolScorer::surrogate_scores(
-    const Surrogate& surrogate) const {
+std::vector<double> PoolScorer::joint_scores(
+    const JointBlockScorer& score_block) const {
   const config::ConfigSpace& space = workflow_->joint_space();
   return score_in_blocks(
       configs_.size(), chunk_rows_, telemetry_,
@@ -56,8 +56,15 @@ std::vector<double> PoolScorer::surrogate_scores(
         for (std::size_t i = 0; i < len; ++i) {
           block.set_row(i, space.features(configs_[first + i]));
         }
-        return surrogate.predict_many(block);
+        return score_block(first, block);
       });
+}
+
+std::vector<double> PoolScorer::surrogate_scores(
+    const Surrogate& surrogate) const {
+  return joint_scores([&](std::size_t, const ml::FeatureMatrix& block) {
+    return surrogate.predict_many(block);
+  });
 }
 
 std::vector<double> PoolScorer::low_fidelity_scores(

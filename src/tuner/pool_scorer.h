@@ -14,6 +14,7 @@
 // row-independent.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -22,6 +23,10 @@
 
 namespace ceal::telemetry {
 class Telemetry;
+}
+
+namespace ceal::ml {
+class FeatureMatrix;
 }
 
 namespace ceal::tuner {
@@ -40,6 +45,15 @@ class PoolScorer {
              std::size_t chunk_rows, telemetry::Telemetry* telemetry);
 
   std::size_t size() const { return configs_.size(); }
+
+  /// Scores one block: `block` holds the joint features of the pool rows
+  /// [first, first + block.size()); returns one score per row.
+  using JointBlockScorer = std::function<std::vector<double>(
+      std::size_t first, const ml::FeatureMatrix& block)>;
+
+  /// Scores for every pool configuration from its joint features, one
+  /// `score_block` call per block, blocks in pool order.
+  std::vector<double> joint_scores(const JointBlockScorer& score_block) const;
 
   /// Surrogate predictions for every pool configuration (featurizes the
   /// joint rows only).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/error.h"
 #include "core/stats.h"
@@ -241,6 +242,90 @@ TunerProgress collector_progress(const Collector& collector) {
     progress.best_value = collector.best_ok_value();
   }
   return progress;
+}
+
+const std::vector<std::vector<std::size_t>>& component_sample_indices(
+    Collector& collector, std::size_t charged_rounds, ceal::Rng& rng) {
+  if (collector.problem().components_are_history) {
+    return collector.all_component_samples();
+  }
+  return collector.acquire_component_samples(charged_rounds, rng);
+}
+
+void require_component_budget(const TuningProblem& problem,
+                              const AutoTuner& algorithm,
+                              std::size_t budget_runs) {
+  const std::size_t minimum = algorithm.min_charged_budget();
+  if (problem.components_are_history || budget_runs >= minimum) return;
+  throw PreconditionError(algorithm.name() + " needs a budget of at least " +
+                          std::to_string(minimum) +
+                          " runs when component runs are charged (got " +
+                          std::to_string(budget_runs) + ")");
+}
+
+RefinementStepper::RefinementStepper(const AutoTuner& algorithm,
+                                     const char* iteration_event,
+                                     std::size_t iterations,
+                                     double init_fraction,
+                                     const TuningProblem& problem,
+                                     std::size_t budget_runs, ceal::Rng& rng)
+    : TunerStepper(problem, budget_runs, rng),
+      collector_(problem_, budget_runs, rng_),
+      pool_scorer_(problem_.workload->workflow, problem_.pool->configs,
+                   problem_.pool_chunk_rows, problem_.telemetry),
+      iteration_event_(iteration_event),
+      iterations_(iterations),
+      init_fraction_(init_fraction) {
+  emit_tune_start(problem_, algorithm, budget_);
+}
+
+std::vector<std::size_t> RefinementStepper::initial_design(
+    std::size_t count) {
+  return random_unmeasured(collector_, count, *rng_);
+}
+
+void RefinementStepper::do_step() {
+  if (phase_ == Phase::kPrepare) {
+    phase_ = Phase::kWarmup;
+    if (prepare()) return;
+  }
+  if (phase_ == Phase::kWarmup) {
+    const auto warmup = std::max<std::size_t>(
+        2, static_cast<std::size_t>(std::llround(
+               init_fraction_ * static_cast<double>(budget_))));
+    measure_batch(collector_, initial_design(warmup));
+    batch_size_ = std::max<std::size_t>(
+        1, (budget_ - std::min(warmup, budget_)) / iterations_);
+    phase_ = Phase::kLoop;
+    return;
+  }
+  if (phase_ == Phase::kLoop) {
+    while (collector_.remaining() > 0) {
+      const std::size_t req_start = collector_.measured_indices().size();
+      const std::size_t ok_start = collector_.ok_values().size();
+      if (collector_.ok_indices().empty()) {
+        // Every attempt so far failed; spend budget on fresh random
+        // configurations until the model has something to train on.
+        const auto batch = random_unmeasured(collector_, batch_size_, *rng_);
+        if (batch.empty()) break;
+        measure_batch(collector_, batch);
+        emit_iteration_event(problem_, iteration_event_, iteration_++,
+                             collector_, req_start, ok_start, 0.0, 0.0);
+        return;  // one iteration per step
+      }
+      const Refinement refinement = refine();
+      const auto batch =
+          top_unmeasured(refinement.scores, collector_, batch_size_);
+      if (batch.empty()) break;
+      measure_batch(collector_, batch, refinement.scores, batch_size_);
+      emit_iteration_event(problem_, iteration_event_, iteration_++,
+                           collector_, req_start, ok_start, refinement.fit_s,
+                           refinement.predict_s);
+      return;  // one iteration per step
+    }
+    phase_ = Phase::kFinal;
+  }
+  finish(finalize_result(collector_, final_scores()));
 }
 
 void checkpoint_decision(

@@ -1,4 +1,5 @@
-// Small helpers shared by the auto-tuning algorithms.
+// Helpers shared by the auto-tuning algorithms, and RefinementStepper,
+// the batch active-learning loop of AL, ALpH, GEIST and BO.
 #pragma once
 
 #include <initializer_list>
@@ -10,6 +11,7 @@
 #include "core/rng.h"
 #include "tuner/autotuner.h"
 #include "tuner/collector.h"
+#include "tuner/pool_scorer.h"
 #include "tuner/stepper.h"
 #include "tuner/surrogate.h"
 
@@ -112,6 +114,77 @@ void emit_iteration_event(const TuningProblem& problem, const char* name,
 /// measured value) — the shared part of every stepper's progress()
 /// override; model-switching tuners add their phase fields on top.
 TunerProgress collector_progress(const Collector& collector);
+
+/// Component sample indices for a low-fidelity phase: every historical
+/// sample (free) when the problem carries histories, otherwise
+/// `charged_rounds` charged component rounds.
+const std::vector<std::vector<std::size_t>>& component_sample_indices(
+    Collector& collector, std::size_t charged_rounds, ceal::Rng& rng);
+
+/// Throws PreconditionError("<algorithm> needs a budget of at least
+/// <minimum> runs when component runs are charged (got <budget_runs>)")
+/// when the problem charges component runs and `budget_runs` is below
+/// algorithm.min_charged_budget(). No-op with historical components.
+void require_component_budget(const TuningProblem& problem,
+                              const AutoTuner& algorithm,
+                              std::size_t budget_runs);
+
+/// The batch active-learning loop of AL, ALpH, GEIST and BO, one step
+/// per slice: optional prepare(), the warm-up of max(2, round(
+/// init_fraction * budget)) configurations, then per step one iteration
+/// measuring the max(1, (budget - warm-up) / iterations) best-scored
+/// unmeasured configurations (random ones while nothing succeeded yet),
+/// then the final scoring. Subclasses supply the model via the hooks.
+class RefinementStepper : public TunerStepper {
+ public:
+  TunerProgress progress() const override {
+    return collector_progress(collector_);
+  }
+
+ protected:
+  /// One model pass: pool-wide scores (lower = better) plus the pass's
+  /// model-fit and predict wall-clock for the iteration event.
+  struct Refinement {
+    std::vector<double> scores;
+    double fit_s = 0.0;
+    double predict_s = 0.0;
+  };
+
+  /// Emits "tune.start" for `algorithm`.
+  RefinementStepper(const AutoTuner& algorithm, const char* iteration_event,
+                    std::size_t iterations, double init_fraction,
+                    const TuningProblem& problem, std::size_t budget_runs,
+                    ceal::Rng& rng);
+
+  /// Work before the warm-up; true when it ran as a step of its own.
+  virtual bool prepare() { return false; }
+
+  /// The warm-up batch of `count` configurations; random by default.
+  virtual std::vector<std::size_t> initial_design(std::size_t count);
+
+  /// Refits the model on every successful measurement and scores the
+  /// pool. Only called once at least one measurement succeeded.
+  virtual Refinement refine() = 0;
+
+  /// The scores finalize_result ranks by; defaults to refine().scores.
+  virtual std::vector<double> final_scores() { return refine().scores; }
+
+  Collector collector_;
+  /// Scores the fixed pool in pool_chunk_rows-sized blocks.
+  const PoolScorer pool_scorer_;
+
+ private:
+  enum class Phase { kPrepare, kWarmup, kLoop, kFinal };
+
+  void do_step() final;
+
+  const char* iteration_event_;
+  std::size_t iterations_;
+  double init_fraction_;
+  Phase phase_ = Phase::kPrepare;
+  std::size_t batch_size_ = 1;
+  std::size_t iteration_ = 0;
+};
 
 /// Journals (live) or validates (resume) one tuner decision record with
 /// the given kind and fields; a single pointer branch without a

@@ -165,6 +165,22 @@ TEST(ServeProtocolTest, DuplicateCreateAndDoubleCancelAreErrors) {
             std::string::npos);
 }
 
+// A budget too small for the algorithm's charged component rounds is a
+// create error naming the minimum, not a session that fails on its first
+// step.
+TEST(ServeProtocolTest, TooSmallBudgetIsACreateError) {
+  ServerCore core{ServerOptions{}};
+  const json::Value response = json::Value::parse(core.handle_line(
+      "{\"op\":\"session.create\",\"id\":\"s1\",\"workflow\":\"LV\","
+      "\"objective\":\"exec\",\"budget\":2,\"algorithm\":\"CEAL\","
+      "\"pool_size\":40,\"component_samples\":20,\"seed\":1}"));
+  EXPECT_FALSE(response.at("ok").as_bool());
+  EXPECT_EQ(response.at("error").as_string(),
+            "CEAL needs a budget of at least 3 runs when component runs are "
+            "charged (got 2)");
+  EXPECT_EQ(core.session_count(), 0u);
+}
+
 TEST(ServeProtocolTest, OverSteppingADoneSessionIsANoOpSuccess) {
   ServerCore core{ServerOptions{}};
   ASSERT_TRUE(
@@ -356,6 +372,25 @@ TEST(ServeProtocolTest, OverlongRequestLineIsAnsweredAndSkipped) {
   EXPECT_EQ(lines[2].at("errors").as_int(), 2);
 }
 
+// A request stream need not end in a newline: the unterminated last
+// line of stdio input is a request like any other.
+TEST(ServeProtocolTest, UnterminatedLastLineIsServed) {
+  ServerCore core{ServerOptions{}};
+  std::istringstream in(
+      "{\"op\":\"server.stats\"}\n{\"op\":\"server.stats\"}");
+  std::ostringstream out;
+  serve_stream(core, in, out, 1);
+
+  std::istringstream responses(out.str());
+  std::vector<json::Value> lines;
+  for (std::string line; std::getline(responses, line);) {
+    lines.push_back(json::Value::parse(line));
+  }
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[1].at("requests").as_int(), 2);
+  EXPECT_EQ(lines[1].at("errors").as_int(), 0);
+}
+
 int connect_to(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -430,13 +465,17 @@ TEST(ServeSocketTest, ClientHangUpDoesNotKillTheServer) {
   ASSERT_LT(path.size(), sizeof(sockaddr_un{}.sun_path)) << path;
   SocketServer server(path);
 
-  const int hang_up = connect_to(path);
-  ASSERT_GE(hang_up, 0);
   std::string burst;
   for (int i = 0; i < 2000; ++i) burst += "{\"op\":\"server.stats\"}\n";
-  EXPECT_TRUE(send_all(hang_up, burst));
-  ::close(hang_up);
+  for (int client = 0; client < 3; ++client) {
+    const int hang_up = connect_to(path);
+    ASSERT_GE(hang_up, 0);
+    EXPECT_TRUE(send_all(hang_up, burst));
+    ::close(hang_up);
+  }
 
+  // Each hang-up cuts the reader off mid-burst; the fragment of the
+  // request it was reading is dropped, not answered as an error.
   const int next = connect_to(path);
   ASSERT_GE(next, 0);
   ASSERT_TRUE(send_all(next, "{\"op\":\"server.stats\"}\n"));
@@ -444,10 +483,30 @@ TEST(ServeSocketTest, ClientHangUpDoesNotKillTheServer) {
   const std::string reply = read_all(next);
   ::close(next);
   ASSERT_FALSE(reply.empty());
-  EXPECT_TRUE(json::Value::parse(reply.substr(0, reply.find('\n')))
-                  .at("ok")
-                  .as_bool())
-      << reply;
+  const json::Value stats =
+      json::Value::parse(reply.substr(0, reply.find('\n')));
+  EXPECT_TRUE(stats.at("ok").as_bool()) << reply;
+  EXPECT_EQ(stats.at("errors").as_int(), 0) << reply;
+}
+
+// A client that ends its last request without a newline and then shuts
+// down its sending side in order still gets that request answered.
+TEST(ServeSocketTest, UnterminatedLastLineBeforeShutdownIsServed) {
+  const std::string path = testutil::test_temp_path("serve.sock");
+  ASSERT_LT(path.size(), sizeof(sockaddr_un{}.sun_path)) << path;
+  SocketServer server(path);
+
+  const int conn = connect_to(path);
+  ASSERT_GE(conn, 0);
+  ASSERT_TRUE(send_all(conn, "{\"op\":\"server.stats\"}"));
+  ::shutdown(conn, SHUT_WR);
+  const std::string reply = read_all(conn);
+  ::close(conn);
+  ASSERT_FALSE(reply.empty());
+  const json::Value stats =
+      json::Value::parse(reply.substr(0, reply.find('\n')));
+  EXPECT_TRUE(stats.at("ok").as_bool()) << reply;
+  EXPECT_EQ(stats.at("errors").as_int(), 0) << reply;
 }
 
 }  // namespace

@@ -5,13 +5,18 @@
 
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 
+#include "core/error.h"
 #include "sim/workloads.h"
 #include "tuner/active_learning.h"
 #include "tuner/alph.h"
+#include "tuner/bayes_opt.h"
 #include "tuner/ceal.h"
 #include "tuner/geist.h"
 #include "tuner/random_search.h"
+#include "tuner/stepper.h"
 
 namespace ceal::tuner {
 namespace {
@@ -36,6 +41,12 @@ std::unique_ptr<AutoTuner> make_tuner(const std::string& name) {
   if (name == "AL") return std::make_unique<ActiveLearning>();
   if (name == "GEIST") return std::make_unique<Geist>();
   if (name == "ALpH") return std::make_unique<Alph>();
+  if (name == "BO") return std::make_unique<BayesOpt>();
+  if (name == "BO-CEAL") {
+    BayesOptParams params;
+    params.bootstrap_with_low_fidelity = true;
+    return std::make_unique<BayesOpt>(params);
+  }
   return std::make_unique<Ceal>();
 }
 
@@ -178,6 +189,97 @@ TEST(GeistTest, SharedGraphGivesSameResultAsOwnGraph) {
   ceal::Rng r1(9), r2(9);
   EXPECT_EQ(own.tune(prob, 15, r1).best_predicted_index,
             shared.tune(prob, 15, r2).best_predicted_index);
+}
+
+// With charged component runs CEAL and BO-CEAL need 3 runs and ALpH 2;
+// a smaller budget is refused up front with one message naming the
+// algorithm and the minimum, and the minimum itself runs to the end.
+TEST(MinimumBudget, ChargedComponentTunersRefuseTooSmallBudgets) {
+  auto& f = fixture();
+  const TuningProblem charged{&f.wl, Objective::kExecTime, &f.pool, &f.comps,
+                              false, {}};
+  const std::pair<const char*, std::size_t> minimums[] = {
+      {"CEAL", 3}, {"BO-CEAL", 3}, {"ALpH", 2}};
+  for (const auto& [name, minimum] : minimums) {
+    SCOPED_TRACE(name);
+    const auto tuner = make_tuner(name);
+    for (std::size_t budget = 1; budget < minimum; ++budget) {
+      ceal::Rng rng(1);
+      try {
+        tuner->make_stepper(charged, budget, rng);
+        ADD_FAILURE() << "budget " << budget << " accepted";
+      } catch (const PreconditionError& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  std::string(name) + " needs a budget of at least " +
+                      std::to_string(minimum) +
+                      " runs when component runs are charged (got " +
+                      std::to_string(budget) + ")");
+      }
+    }
+    ceal::Rng rng(1);
+    EXPECT_LE(tuner->tune(charged, minimum, rng).runs_used, minimum);
+  }
+}
+
+// ALpH and BO build every model they fit (ALpH's M'_0 and component
+// models, BO's ensemble members, BO-CEAL's component models) from the
+// problem's surrogate_gbt, so a binned trainer changes their scores.
+TEST(SurrogateParams, AlphAndBoFitWithTheProblemsTrainer) {
+  auto& f = fixture();
+  const TuningProblem exact{&f.wl, Objective::kExecTime, &f.pool, &f.comps,
+                            false, {}};
+  TuningProblem binned = exact;
+  binned.surrogate_gbt.tree.method = ml::TreeMethod::kQuantized;
+  binned.surrogate_gbt.tree.max_bins = 4;
+  for (const char* name : {"ALpH", "BO", "BO-CEAL"}) {
+    SCOPED_TRACE(name);
+    const auto tuner = make_tuner(name);
+    ceal::Rng r1(5), r2(5);
+    EXPECT_NE(tuner->tune(exact, 20, r1).model_scores,
+              tuner->tune(binned, 20, r2).model_scores);
+  }
+}
+
+// Step slicing is part of the serving contract: ceal_serve reports
+// steps_taken() as "steps", and clients pace sessions by step count.
+// Pins the budget used after every step (ALpH's component step, the
+// warm-up, one refinement iteration per step, the final scoring) at
+// budget 40, with and without injected faults.
+TEST(StepSlicing, BudgetUsedPerStepIsPinned) {
+  struct Case {
+    const char* algorithm;
+    bool faults;
+    std::vector<std::size_t> budget_used;
+  };
+  const Case cases[] = {
+      {"AL", false, {10, 13, 16, 19, 22, 25, 28, 31, 34, 37, 40, 40}},
+      {"AL", true, {10, 13, 17, 21, 26, 29, 33, 37, 40, 40}},
+      {"ALpH", false, {20, 30, 33, 36, 39, 40, 40}},
+      {"ALpH", true, {20, 30, 33, 37, 40, 40}},
+      {"GEIST", false, {10, 13, 16, 19, 22, 25, 28, 31, 34, 37, 40, 40}},
+      {"GEIST", true, {10, 13, 17, 21, 26, 29, 33, 37, 40, 40}},
+      {"BO", false, {10, 13, 16, 19, 22, 25, 28, 31, 34, 37, 40, 40}},
+      {"BO", true, {10, 13, 17, 21, 26, 29, 33, 37, 40, 40}},
+      {"BO-CEAL", false, {30, 33, 36, 39, 40, 40}},
+      {"BO-CEAL", true, {30, 33, 37, 40, 40}},
+  };
+  auto& f = fixture();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.algorithm) + (c.faults ? " faults" : ""));
+    TuningProblem prob{&f.wl, Objective::kExecTime, &f.pool, &f.comps, false,
+                       {}};
+    if (c.faults) prob.measurement.faults.fail_prob = 0.3;
+    ceal::Rng rng(3);
+    const auto tuner = make_tuner(c.algorithm);
+    const auto stepper = tuner->make_stepper(prob, 40, rng);
+    std::vector<std::size_t> used;
+    do {
+      stepper->step();
+      used.push_back(stepper->progress().budget_used);
+    } while (!stepper->done());
+    EXPECT_EQ(stepper->steps_taken(), c.budget_used.size());
+    EXPECT_EQ(used, c.budget_used);
+  }
 }
 
 }  // namespace

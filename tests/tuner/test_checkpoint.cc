@@ -10,10 +10,12 @@
 #include <fstream>
 #include <string>
 
+#include "core/error.h"
 #include "core/journal.h"
 #include "core/telemetry.h"
 #include "sim/workloads.h"
 #include "tuner/ceal.h"
+#include "tuner/stepper.h"
 #include "tests/temp_path.h"
 
 namespace ceal::tuner {
@@ -123,6 +125,22 @@ TEST_F(CheckpointTest, ResumeRequiresANonEmptyJournal) {
   { std::ofstream touch(path_); }
   EXPECT_THROW(CheckpointSession(path_, CheckpointSession::Mode::kResume),
                CheckpointError);
+}
+
+// A budget too small for CEAL's charged component rounds is refused
+// before the session header is journaled, so no journal is left to
+// block a corrected rerun.
+TEST_F(CheckpointTest, TooSmallBudgetIsRefusedBeforeTheHeader) {
+  {
+    CheckpointSession session(path_, CheckpointSession::Mode::kStart);
+    Rng rng(9);
+    const Ceal ceal;
+    const AutoTuner& tuner = ceal;
+    EXPECT_THROW(tuner.make_stepper(env().problem(), 2, rng, &session),
+                 PreconditionError);
+    EXPECT_EQ(session.appended_records(), 0u);
+  }
+  EXPECT_NO_THROW(run_session());
 }
 
 TEST_F(CheckpointTest, BudgetSkewNamesTheKnob) {

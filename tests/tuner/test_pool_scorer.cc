@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -15,7 +16,9 @@
 #include "core/rng.h"
 #include "core/telemetry.h"
 #include "sim/workloads.h"
+#include "ml/dataset.h"
 #include "tuner/active_learning.h"
+#include "tuner/alph.h"
 #include "tuner/bayes_opt.h"
 #include "tuner/ceal.h"
 #include "tuner/geist.h"
@@ -135,6 +138,36 @@ TEST_F(PoolScorerTest, CountsOneChunkPerBlockAndRejectsZeroBlockSize) {
                PreconditionError);
 }
 
+TEST_F(PoolScorerTest, JointScoresVisitEveryRowOnceInPoolOrder) {
+  const PoolScorer scorer(wl_.workflow, pool_.configs, 77, nullptr);
+  const config::ConfigSpace& space = wl_.workflow.joint_space();
+  std::vector<int> visits(pool_.size(), 0);
+  std::size_t next_first = 0;
+  const auto scores = scorer.joint_scores(
+      [&](std::size_t first, const ml::FeatureMatrix& block) {
+        EXPECT_EQ(first, next_first);
+        EXPECT_LE(block.size(), 77u);
+        next_first = first + block.size();
+        std::vector<double> out;
+        for (std::size_t i = 0; i < block.size(); ++i) {
+          ++visits[first + i];
+          const auto want = space.features(pool_.configs[first + i]);
+          const auto row = block.row(i);
+          EXPECT_TRUE(std::equal(row.begin(), row.end(), want.begin(),
+                                 want.end()))
+              << "row " << first + i;
+          out.push_back(static_cast<double>(first + i));
+        }
+        return out;
+      });
+  EXPECT_EQ(next_first, pool_.size());
+  EXPECT_EQ(visits, std::vector<int>(pool_.size(), 1));
+  ASSERT_EQ(scores.size(), pool_.size());
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    EXPECT_EQ(scores[i], static_cast<double>(i));
+  }
+}
+
 TEST_F(PoolScorerTest, CealWithChunkedPoolReturnsIdenticalResult) {
   TuningProblem p = problem();
   Ceal ceal;
@@ -152,9 +185,11 @@ TEST_F(PoolScorerTest, OtherTunersIndependentOfBlockSize) {
   const RandomSearch rs;
   const Geist geist;
   const ActiveLearning al;
-  const BayesOpt bo(bo_ceal);
-  for (const AutoTuner* tuner :
-       std::initializer_list<const AutoTuner*>{&rs, &geist, &al, &bo}) {
+  const Alph alph;
+  const BayesOpt bo;
+  const BayesOpt bo_with_low_fidelity(bo_ceal);
+  for (const AutoTuner* tuner : std::initializer_list<const AutoTuner*>{
+           &rs, &geist, &al, &alph, &bo, &bo_with_low_fidelity}) {
     SCOPED_TRACE(tuner->name());
     TuningProblem p = problem();
     ceal::Rng rng_default(17);

@@ -302,9 +302,14 @@ int main(int argc, char** argv) {
     // merged in replication order — see tuner::evaluate).
     std::optional<ceal::ThreadPool> eval_pool;
     if (eval_threads > 0) eval_pool.emplace(eval_threads);
-    const auto s =
-        tuner::evaluate(problem, *algo, budget, replications, seed,
-                        eval_pool ? &*eval_pool : nullptr);
+    tuner::EvalSummary s;
+    try {
+      s = tuner::evaluate(problem, *algo, budget, replications, seed,
+                          eval_pool ? &*eval_pool : nullptr);
+    } catch (const PreconditionError& e) {  // e.g. a too-small budget
+      std::cerr << "ceal_tune: " << e.what() << "\n";
+      return 2;
+    }
     Table table({"metric", "value"});
     table.add_row({"algorithm", s.algorithm});
     table.add_row({"normalized performance", Table::num(s.mean_norm_perf)});
@@ -354,6 +359,9 @@ int main(int argc, char** argv) {
     result = algo->tune(problem, budget, rng,
                         checkpoint ? &*checkpoint : nullptr);
   } catch (const tuner::CheckpointError& e) {
+    std::cerr << "ceal_tune: " << e.what() << "\n";
+    return 2;
+  } catch (const PreconditionError& e) {  // e.g. a too-small budget
     std::cerr << "ceal_tune: " << e.what() << "\n";
     return 2;
   } catch (const JournalError& e) {

@@ -173,9 +173,9 @@ echo "== tier-1: hostile-client gate =="
 # one session already created is sent a client that hangs up before
 # reading its responses, a line of 200k nested brackets, and a line over
 # the request-length cap. It must answer the two bad lines with one-line
-# errors, keep answering server.stats, finish the first session with a
-# result CSV byte-equal to the solo ceal_tune run above, and drain with
-# exit 0 on SIGTERM.
+# errors (and count no others), keep answering server.stats, finish the
+# first session with a result CSV byte-equal to the solo ceal_tune run
+# above, and drain with exit 0 on SIGTERM.
 hostile_dir="$trace_dir/hostile"
 mkdir -p "$hostile_dir"
 hsock="$hostile_dir/serve.sock"
@@ -216,6 +216,10 @@ printf '{"op":"session.step","id":"hostile","steps":1000}\n{"op":"session.query"
   | sock_client read > "$hostile_dir/final.txt"
 [[ "$(grep -c '"ok":true' "$hostile_dir/final.txt")" -eq 3 ]] \
   || { echo "hostile gate: daemon stopped answering after hostile clients"; exit 1; }
+# Exactly the two bad lines count as request errors: the fragment the
+# hang-up left in the reader is dropped, not answered.
+grep -qF '"errors":2,"ops"' "$hostile_dir/final.txt" \
+  || { echo "hostile gate: server.stats errors is not 2"; exit 1; }
 diff "$trace_dir/uninterrupted.csv" "$hostile_dir/served.csv" \
   || { echo "hostile clients changed the session's result"; exit 1; }
 kill -TERM "$hostile_pid"
