@@ -60,9 +60,7 @@ int main() {
           std::pair{Objective::kComputerTime, std::size_t{25}}}) {
       const tuner::Ceal algo(variant.params);
       const auto prob = env.problem(lv, obj, /*history=*/false);
-      const auto s = tuner::evaluate(prob, algo, budget,
-                                     bench::Env::replications(),
-                                     bench::kEvalSeed);
+      const auto s = bench::evaluate(prob, algo, budget);
       row.push_back(bench::fmt(s.mean_norm_perf));
       csv.add_row({variant.name, tuner::objective_name(obj),
                    std::to_string(budget), bench::fmt(s.mean_norm_perf)});

@@ -43,9 +43,7 @@ int main() {
           static_cast<const tuner::AutoTuner*>(&bo),
           static_cast<const tuner::AutoTuner*>(&bo_ceal),
           static_cast<const tuner::AutoTuner*>(&ceal_algo)}) {
-      const auto s = tuner::evaluate(prob, *algo, budget,
-                                     bench::Env::replications(),
-                                     bench::kEvalSeed);
+      const auto s = bench::evaluate(prob, *algo, budget);
       row.push_back(bench::fmt(s.mean_norm_perf));
       csv.add_row({tuner::objective_name(obj), std::to_string(budget),
                    s.algorithm, bench::fmt(s.mean_norm_perf),

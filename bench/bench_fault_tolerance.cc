@@ -37,9 +37,7 @@ int main() {
     std::vector<std::string> row{bench::fmt(rate, 2)};
     for (const char* name : algos) {
       const auto algo = bench::make_algorithm(name, env, w);
-      const auto s = tuner::evaluate(problem, *algo, budget,
-                                     bench::Env::replications(),
-                                     bench::kEvalSeed);
+      const auto s = bench::evaluate(problem, *algo, budget);
       row.push_back(bench::fmt(s.mean_norm_perf));
       csv.add_row({bench::fmt(rate, 2), name, bench::fmt(s.mean_norm_perf),
                    bench::fmt(s.mean_recall[2], 1),

@@ -20,9 +20,7 @@ double mean_comp_ch(const ceal::bench::Env& env, std::size_t w,
   using namespace ceal;
   const auto prob = env.problem(w, tuner::Objective::kComputerTime, history);
   const tuner::Ceal ceal_algo(params);
-  const auto s = tuner::evaluate(prob, ceal_algo, 50,
-                                 bench::Env::replications(),
-                                 bench::kEvalSeed);
+  const auto s = bench::evaluate(prob, ceal_algo, 50);
   const auto& truth = prob.pool->truth(prob.objective);
   const double best = truth[prob.pool->best_truth_index(prob.objective)];
   return s.mean_norm_perf * best;

@@ -100,13 +100,19 @@ std::unique_ptr<tuner::AutoTuner> make_algorithm(const std::string& name,
   throw PreconditionError("unknown algorithm " + name);
 }
 
+tuner::EvalSummary evaluate(const tuner::TuningProblem& problem,
+                            const tuner::AutoTuner& algorithm,
+                            std::size_t budget) {
+  static ThreadPool replication_pool;  // nproc workers
+  return tuner::evaluate(problem, algorithm, budget, Env::replications(),
+                         kEvalSeed, &replication_pool);
+}
+
 tuner::EvalSummary run_cell(const Env& env, const std::string& name,
                             std::size_t w, tuner::Objective objective,
                             std::size_t budget, bool history) {
   const auto algo = make_algorithm(name, env, w);
-  const auto prob = env.problem(w, objective, history);
-  return tuner::evaluate(prob, *algo, budget, Env::replications(),
-                         kEvalSeed);
+  return evaluate(env.problem(w, objective, history), *algo, budget);
 }
 
 std::string fmt(double v, int precision) {

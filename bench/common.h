@@ -63,6 +63,14 @@ std::unique_ptr<tuner::AutoTuner> make_algorithm(const std::string& name,
                                                  const Env& env,
                                                  std::size_t w);
 
+/// tuner::evaluate of `algorithm` on `problem` with `budget` training
+/// samples over replications() replications seeded from kEvalSeed. The
+/// replications run on a pool of nproc workers; the aggregates are
+/// bitwise equal to running them serially.
+tuner::EvalSummary evaluate(const tuner::TuningProblem& problem,
+                            const tuner::AutoTuner& algorithm,
+                            std::size_t budget);
+
 /// Runs one experiment cell: `name` on workload `w` under `objective`
 /// with `budget` training samples, averaged over replications().
 tuner::EvalSummary run_cell(const Env& env, const std::string& name,

@@ -49,11 +49,11 @@ Configuration ConfigSpace::at(std::uint64_t flat_index) const {
   return c;
 }
 
-std::uint64_t ConfigSpace::flat_index(const Configuration& c) const {
-  CEAL_EXPECT(c.size() == params_.size());
+std::uint64_t ConfigSpace::flat_index(std::span<const int> values) const {
+  CEAL_EXPECT(values.size() == params_.size());
   std::uint64_t idx = 0;
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    idx = idx * params_[i].cardinality() + params_[i].index_of(c[i]);
+    idx = idx * params_[i].cardinality() + params_[i].index_of(values[i]);
   }
   return idx;
 }
@@ -123,10 +123,17 @@ std::vector<Configuration> ConfigSpace::neighbors(
 }
 
 std::vector<double> ConfigSpace::features(const Configuration& c) const {
-  CEAL_EXPECT(c.size() == params_.size());
   std::vector<double> f(c.size());
-  for (std::size_t i = 0; i < c.size(); ++i) f[i] = static_cast<double>(c[i]);
+  features(c, f);
   return f;
+}
+
+void ConfigSpace::features(std::span<const int> values,
+                           std::span<double> out) const {
+  CEAL_EXPECT(values.size() == params_.size() && out.size() == values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    out[i] = static_cast<double>(values[i]);
+  }
 }
 
 std::string to_string(const Configuration& c) {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,7 +48,14 @@ class ConfigSpace {
   Configuration at(std::uint64_t flat_index) const;
 
   /// Flat index of a configuration (inverse of at()).
-  std::uint64_t flat_index(const Configuration& c) const;
+  std::uint64_t flat_index(const Configuration& c) const {
+    return flat_index(std::span<const int>(c));
+  }
+
+  /// Flat index of the configuration whose values are `values` (one per
+  /// parameter), e.g. a component's slice read in place from a joint
+  /// configuration.
+  std::uint64_t flat_index(std::span<const int> values) const;
 
   /// True iff every value is in its parameter's domain and the constraint
   /// (if any) accepts the configuration.
@@ -76,6 +84,10 @@ class ConfigSpace {
 
   /// Encodes a configuration as ML features (plain value casts).
   std::vector<double> features(const Configuration& c) const;
+
+  /// Writes the features of the configuration whose values are `values`
+  /// into `out` (both one entry per parameter).
+  void features(std::span<const int> values, std::span<double> out) const;
 
  private:
   std::vector<Parameter> params_;

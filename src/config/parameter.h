@@ -35,6 +35,10 @@ class Parameter {
  private:
   std::string name_;
   std::vector<int> values_;
+  /// Common difference of values_ when they form an arithmetic
+  /// progression (every range() does), else 0: index_of() is then one
+  /// division instead of a binary search.
+  long long step_ = 0;
 };
 
 }  // namespace ceal::config

@@ -99,6 +99,7 @@ struct SubprocessBackend::Worker {
   bool hello_ok = false;
   bool busy = false;
   std::uint64_t req_id = 0;
+  std::uint64_t req_tag = 0;
   std::size_t req_index = 0;
   bool req_hedge = false;
   steady_clock::time_point started_at{};
@@ -269,9 +270,33 @@ void SubprocessBackend::reap_worker(Worker& worker) {
   ++worker.generation;
 }
 
+void SubprocessBackend::open_request(std::size_t index, bool front) {
+  open_[index] = next_tag_++;
+  if (front) {
+    enqueue_front(index);
+  } else {
+    pending_.push_back(index);
+    queued_.insert(index);
+  }
+}
+
 void SubprocessBackend::enqueue_front(std::size_t index) {
   pending_.push_front(index);
   queued_.insert(index);
+}
+
+bool SubprocessBackend::unserved(std::size_t index, std::uint64_t tag) const {
+  const auto open = open_.find(index);
+  return open != open_.end() && open->second == tag &&
+         completed_.find(index) == completed_.end();
+}
+
+int SubprocessBackend::release(std::uint64_t tag) {
+  auto it = outstanding_.find(tag);
+  if (it == outstanding_.end()) return 0;
+  if (--it->second > 0) return it->second;
+  outstanding_.erase(it);
+  return 0;
 }
 
 void SubprocessBackend::worker_fault(std::size_t slot,
@@ -281,18 +306,14 @@ void SubprocessBackend::worker_fault(std::size_t slot,
   if (worker.alive) {
     if (worker.busy) {
       // Re-queue the in-flight run unless a hedge twin still carries it
-      // or it already completed elsewhere.
+      // or its request was already served.
       const std::size_t index = worker.req_index;
       worker.busy = false;
-      auto it = outstanding_.find(index);
-      if (it != outstanding_.end() && --it->second <= 0) {
-        outstanding_.erase(it);
-        if (completed_.find(index) == completed_.end() &&
-            queued_.find(index) == queued_.end()) {
-          enqueue_front(index);
-          ++stats_.retries;
-          if (telemetry_ != nullptr) telemetry_->count("measure.retry");
-        }
+      if (release(worker.req_tag) == 0 && unserved(index, worker.req_tag) &&
+          queued_.find(index) == queued_.end()) {
+        enqueue_front(index);
+        ++stats_.retries;
+        if (telemetry_ != nullptr) telemetry_->count("measure.retry");
       }
     }
     reap_worker(worker);
@@ -364,10 +385,11 @@ void SubprocessBackend::dispatch(std::size_t slot, std::size_t index,
   const std::uint64_t id = next_request_id_++;
   worker.busy = true;
   worker.req_id = id;
+  worker.req_tag = open_.at(index);
   worker.req_index = index;
   worker.req_hedge = hedge;
   worker.dispatched_at = steady_clock::now();
-  ++outstanding_[index];
+  ++outstanding_[worker.req_tag];
   ++stats_.dispatched;
   if (telemetry_ != nullptr) telemetry_->count("measure.dispatch");
   if (!write_all(worker.in_fd, worker.writer.frame(run_message(id, index)))) {
@@ -407,8 +429,7 @@ void SubprocessBackend::handle_message(std::size_t slot,
     throw WireError("result does not match the worker's in-flight run");
   }
   worker.busy = false;
-  auto it = outstanding_.find(result.index);
-  if (it != outstanding_.end() && --it->second <= 0) outstanding_.erase(it);
+  release(worker.req_tag);
   if (telemetry_ != nullptr) {
     telemetry_->observe(
         "timing.measure.rtt_s",
@@ -425,9 +446,9 @@ void SubprocessBackend::handle_message(std::size_t slot,
     throw WireError("result row mismatch for pool index " +
                     std::to_string(result.index));
   }
-  if (completed_.find(result.index) != completed_.end()) {
-    // A hedge twin already won this run; the loser's identical result
-    // is discarded.
+  if (!unserved(result.index, worker.req_tag)) {
+    // A hedge twin already won this run (its result may even have been
+    // handed back already); the loser's identical result is discarded.
     ++stats_.hedge_wasted;
     if (telemetry_ != nullptr) telemetry_->count("measure.hedge_wasted");
     return;
@@ -491,8 +512,8 @@ void SubprocessBackend::pump(double wait_s) {
     }
     if (age > options_.hedge_after_s) {
       const std::size_t index = worker.req_index;
-      if (completed_.find(index) != completed_.end()) continue;
-      auto out = outstanding_.find(index);
+      if (!unserved(index, worker.req_tag)) continue;
+      auto out = outstanding_.find(worker.req_tag);
       if (out != outstanding_.end() && out->second > 1) continue;  // hedged
       for (std::size_t other = 0; other < workers_.size(); ++other) {
         Worker& twin = *workers_[other];
@@ -517,7 +538,10 @@ void SubprocessBackend::pump(double wait_s) {
     const std::size_t index = pending_.front();
     pending_.pop_front();
     queued_.erase(index);
-    if (completed_.find(index) != completed_.end()) continue;
+    if (open_.find(index) == open_.end() ||
+        completed_.find(index) != completed_.end()) {
+      continue;
+    }
     dispatch(slot, index, /*hedge=*/false);
   }
 }
@@ -527,11 +551,7 @@ void SubprocessBackend::prefetch(std::span<const std::size_t> indices) {
   if (degraded_) return;
   for (const std::size_t index : indices) {
     CEAL_EXPECT(index < pool_->size());
-    if (completed_.find(index) != completed_.end()) continue;
-    if (queued_.find(index) != queued_.end()) continue;
-    if (outstanding_.find(index) != outstanding_.end()) continue;
-    pending_.push_back(index);
-    queued_.insert(index);
+    if (open_.find(index) == open_.end()) open_request(index, false);
   }
   // Opportunistic, non-blocking: pick up hellos and hand out work now;
   // the blocking waits happen in run().
@@ -542,16 +562,16 @@ RawRun SubprocessBackend::run(std::size_t pool_index) {
   CEAL_EXPECT(pool_index < pool_->size());
   ensure_started();
   if (!degraded_) {
-    if (completed_.find(pool_index) == completed_.end() &&
-        queued_.find(pool_index) == queued_.end() &&
-        outstanding_.find(pool_index) == outstanding_.end()) {
-      enqueue_front(pool_index);
+    if (open_.find(pool_index) == open_.end()) {
+      open_request(pool_index, true);
     }
     while (!degraded_ &&
            completed_.find(pool_index) == completed_.end()) {
       pump(0.02);
     }
   }
+  // Served: whatever a twin of this request still sends is stale.
+  open_.erase(pool_index);
   if (degraded_) {
     auto done = completed_.find(pool_index);
     if (done != completed_.end()) {

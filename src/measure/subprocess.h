@@ -10,6 +10,11 @@
 //    loser's late result is discarded after a config-fingerprint check
 //    (counted as measure.hedge_wasted). Past `hang_after_s` the worker
 //    is declared hung, SIGKILLed, and restarted; its run is re-queued.
+//    Each request for a pool index carries a tag, shared by its hedge
+//    twins and retired when run() hands the result back. A result or a
+//    fault whose tag is retired belongs to a request already served: it
+//    is neither counted again nor re-queued, even if the Collector has
+//    since asked for the same index anew.
 //
 //  * Crash/hang detection. Worker EOF, a read error, a corrupt frame,
 //    a protocol violation, a fingerprint mismatch, or the hang deadline
@@ -148,7 +153,14 @@ class SubprocessBackend final : public MeasureBackend {
   void handle_event(const Event& event);
   void handle_message(std::size_t slot, const json::Value& payload);
   void dispatch(std::size_t slot, std::size_t index, bool hedge);
+  /// Opens a request for `index` under a fresh tag and queues it.
+  void open_request(std::size_t index, bool front);
   void enqueue_front(std::size_t index);
+  /// True when `tag` is the open request of `index` and it has no
+  /// result yet.
+  bool unserved(std::size_t index, std::uint64_t tag) const;
+  /// Drops one in-flight copy of request `tag`; returns the copies left.
+  int release(std::uint64_t tag);
   std::size_t live_workers() const;
 
   const tuner::MeasuredPool* pool_;
@@ -161,11 +173,15 @@ class SubprocessBackend final : public MeasureBackend {
   bool degraded_ = false;
   std::size_t consecutive_failures_ = 0;
   std::uint64_t next_request_id_ = 1;
+  std::uint64_t next_tag_ = 1;
 
   std::deque<std::size_t> pending_;       ///< indices awaiting a worker
   std::set<std::size_t> queued_;          ///< members of pending_
-  std::map<std::size_t, int> outstanding_;  ///< in-flight copies per index
-  std::map<std::size_t, RawRun> completed_;
+  /// Index -> tag of its request, from first request until run()
+  /// returns it.
+  std::map<std::size_t, std::uint64_t> open_;
+  std::map<std::uint64_t, int> outstanding_;  ///< in-flight copies per tag
+  std::map<std::size_t, RawRun> completed_;   ///< results of open requests
 
   SubprocessStats stats_;
 

@@ -48,13 +48,12 @@ class AlphStepper final : public RefinementStepper {
     const ComponentModelSet components(
         workflow, problem_.objective, *problem_.component_samples,
         component_sample_indices(collector_, rounds, *rng_), *rng_,
-        problem_.surrogate_gbt);
-    const auto& configs = problem_.pool->configs;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      const auto row = component_columns_.mutable_row(i);
-      for (std::size_t j = 0; j < row.size(); ++j) {
-        row[j] = components.predict(j, workflow.space().slice(configs[i], j));
-      }
+        problem_.surrogate_gbt, problem_.telemetry);
+    for (std::size_t j = 0; j < components.component_count(); ++j) {
+      pool_scorer_.component_predictions(
+          components, j, [&](std::size_t row, double prediction) {
+            component_columns_.mutable_row(row)[j] = prediction;
+          });
     }
     return true;
   }

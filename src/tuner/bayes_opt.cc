@@ -121,7 +121,7 @@ class BayesOptStepper final : public RefinementStepper {
     auto components = std::make_shared<const ComponentModelSet>(
         workflow, problem_.objective, *problem_.component_samples,
         component_sample_indices(collector_, m_r, *rng_), *rng_,
-        problem_.surrogate_gbt);
+        problem_.surrogate_gbt, problem_.telemetry);
     const LowFidelityModel low_fidelity(workflow, problem_.objective,
                                         components);
     const auto low_scores = pool_scorer_.low_fidelity_scores(low_fidelity);

@@ -85,7 +85,8 @@ class CealStepper final : public TunerStepper {
       telemetry::ScopedCausalSpan components_span(tel, "components.fit");
       auto components = std::make_shared<const ComponentModelSet>(
           workflow, problem_.objective, *problem_.component_samples,
-          component_indices, *rng_, problem_.surrogate_gbt);
+          component_indices, *rng_, problem_.surrogate_gbt,
+          problem_.telemetry);
       const double components_fit_s = components_span.stop();
       const LowFidelityModel low_fidelity(workflow, problem_.objective,
                                           components);

@@ -4,6 +4,7 @@
 
 #include "core/error.h"
 #include "ml/dataset.h"
+#include "tuner/pool_scorer.h"
 
 namespace ceal::tuner {
 
@@ -11,7 +12,8 @@ ComponentModelSet::ComponentModelSet(
     const sim::InSituWorkflow& workflow, Objective objective,
     const std::vector<ComponentSamples>& samples,
     const std::vector<std::vector<std::size_t>>& sample_indices,
-    ceal::Rng& rng, const ml::GbtParams& gbt)
+    ceal::Rng& rng, const ml::GbtParams& gbt,
+    telemetry::Telemetry* telemetry)
     : workflow_(&workflow) {
   CEAL_EXPECT(samples.size() == workflow.component_count());
   CEAL_EXPECT(sample_indices.size() == samples.size());
@@ -33,6 +35,7 @@ ComponentModelSet::ComponentModelSet(
     }
     Surrogate model(gbt);
     model.fit(space, configs, targets, rng);
+    model.set_telemetry(telemetry);
     models_.push_back(std::move(model));
   }
 }
@@ -60,50 +63,19 @@ LowFidelityModel::LowFidelityModel(
 }
 
 double LowFidelityModel::score(const config::Configuration& joint) const {
-  double combined =
-      objective_ == Objective::kExecTime ? 0.0 : 0.0;  // max / sum seed
+  double combined = kCombineSeed;
   for (std::size_t j = 0; j < workflow_->component_count(); ++j) {
-    const double v =
-        components_->predict(j, workflow_->space().slice(joint, j));
-    if (objective_ == Objective::kExecTime) {
-      combined = std::max(combined, v);
-    } else {
-      combined += v;
-    }
+    combined = combine(
+        combined, components_->predict(j, workflow_->space().slice(joint, j)));
   }
   return combined;
 }
 
 std::vector<double> LowFidelityModel::score_many(
     std::span<const config::Configuration> joints) const {
-  std::vector<double> out(joints.size());
-  for (std::size_t i = 0; i < joints.size(); ++i) out[i] = score(joints[i]);
-  return out;
-}
-
-std::vector<double> LowFidelityModel::score_many(
-    const std::vector<ml::FeatureMatrix>& components) const {
-  const std::size_t n_comps = workflow_->component_count();
-  CEAL_EXPECT(components.size() == n_comps && n_comps > 0);
-
-  // Component-major evaluation: each component's surrogate scores its
-  // slice matrix in one (parallel) batch. The per-row combine folds
-  // components in ascending j, exactly like score(), so results match
-  // the per-row path bitwise.
-  std::vector<double> out(components.front().size(), 0.0);
-  for (std::size_t j = 0; j < n_comps; ++j) {
-    CEAL_EXPECT(components[j].size() == out.size());
-    const std::vector<double> comp =
-        components_->predict_many(j, components[j]);
-    if (objective_ == Objective::kExecTime) {
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        out[i] = std::max(out[i], comp[i]);
-      }
-    } else {
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] += comp[i];
-    }
-  }
-  return out;
+  const PoolScorer scorer(*workflow_, joints,
+                          kDefaultPoolChunkRows, nullptr);
+  return scorer.low_fidelity_scores(*this);
 }
 
 }  // namespace ceal::tuner

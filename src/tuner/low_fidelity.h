@@ -9,6 +9,7 @@
 //   computer  time  -> Score_c(c) = sum_j t_c(c_j)   (Eqn. 2)
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
@@ -17,6 +18,10 @@
 #include "tuner/measured_pool.h"
 #include "tuner/objective.h"
 #include "tuner/surrogate.h"
+
+namespace ceal::telemetry {
+class Telemetry;
+}
 
 namespace ceal::tuner {
 
@@ -27,13 +32,16 @@ class ComponentModelSet {
   /// samples selected by `sample_indices` (one index list per component;
   /// indices address the ComponentSamples arrays). Every component needs
   /// at least one sample. `gbt` configures the per-component boosted
-  /// trees (TuningProblem::surrogate_gbt).
+  /// trees (TuningProblem::surrogate_gbt). `telemetry` (nullable,
+  /// TuningProblem::telemetry) records the models' batch predictions
+  /// ("gbt.predict" spans and counters), not their fits.
   ComponentModelSet(
       const sim::InSituWorkflow& workflow, Objective objective,
       const std::vector<ComponentSamples>& samples,
       const std::vector<std::vector<std::size_t>>& sample_indices,
       ceal::Rng& rng,
-      const ml::GbtParams& gbt = ml::GradientBoostedTrees::surrogate_defaults());
+      const ml::GbtParams& gbt = ml::GradientBoostedTrees::surrogate_defaults(),
+      telemetry::Telemetry* telemetry = nullptr);
 
   std::size_t component_count() const { return models_.size(); }
 
@@ -60,18 +68,28 @@ class LowFidelityModel {
                    std::shared_ptr<const ComponentModelSet> components);
 
   /// Score of a joint configuration (lower is better). Only meaningful
-  /// for ranking, not as a time prediction (§4).
+  /// for ranking, not as a time prediction (§4). The per-row reference
+  /// of the batch pass.
   double score(const config::Configuration& joint) const;
 
-  /// Scores for a batch of joint configurations.
+  /// Scores for a batch of joint configurations, through the
+  /// distinct-slice pass of PoolScorer::low_fidelity_scores; bitwise
+  /// equal to score() per row.
   std::vector<double> score_many(
       std::span<const config::Configuration> joints) const;
 
-  /// Scores for a block of joint configurations from its per-component
-  /// slice feature matrices (one per component, equal row counts, as
-  /// PoolScorer builds them); bitwise equal to score() per row.
-  std::vector<double> score_many(
-      const std::vector<ml::FeatureMatrix>& components) const;
+  /// A score folds component predictions, in ascending j, into this
+  /// seed with combine().
+  static constexpr double kCombineSeed = 0.0;
+
+  /// One fold step: max (execution time) or sum (computer time).
+  double combine(double combined, double prediction) const {
+    return objective_ == Objective::kExecTime
+               ? std::max(combined, prediction)
+               : combined + prediction;
+  }
+
+  const ComponentModelSet& components() const { return *components_; }
 
  private:
   const sim::InSituWorkflow* workflow_;

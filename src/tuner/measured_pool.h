@@ -106,6 +106,10 @@ struct MeasurementPolicy {
 };
 
 /// Everything one tuning experiment needs, bundled.
+/// Default block size of whole-pool scoring passes
+/// (TuningProblem::pool_chunk_rows).
+inline constexpr std::size_t kDefaultPoolChunkRows = 8192;
+
 struct TuningProblem {
   const sim::Workload* workload = nullptr;
   Objective objective = Objective::kExecTime;
@@ -156,7 +160,7 @@ struct TuningProblem {
   /// Block size, in rows (>= 1), in which every whole-pool scoring pass
   /// featurizes and scores the pool (tuner/pool_scorer.h). Scores are
   /// bitwise independent of it; it only bounds the memory of one block.
-  std::size_t pool_chunk_rows = 8192;
+  std::size_t pool_chunk_rows = kDefaultPoolChunkRows;
 };
 
 }  // namespace ceal::tuner

@@ -2,16 +2,30 @@
 //
 // The tuners score the whole candidate pool with the low-fidelity
 // combination model and/or the high-fidelity surrogate on every
-// iteration (Algorithm 1 rescans the pool each pass). Each scoring pass
-// walks the pool in consecutive blocks of at most chunk_rows rows:
+// iteration (Algorithm 1 rescans the pool each pass). A joint scoring
+// pass walks the pool in consecutive blocks of at most chunk_rows rows:
 // featurize one block on the calling thread, score it in one batch
-// (predictions are parallel over rows inside the model), move on. No
-// pool-sized feature matrix ever exists, so a pool of millions of
-// configurations is scored in bounded memory — the only O(pool) state
-// is the score vector itself (8 bytes/row). Scores are bitwise equal to
-// the per-row Surrogate::predict / LowFidelityModel::score for any block
-// size and thread count, because featurization and both models are
-// row-independent.
+// (predictions are parallel over rows inside the model), move on.
+//
+// The low-fidelity pass exploits that M_L (§4, Eqns. 1-2) sees a joint
+// configuration only through its per-component slices c_j, and a pool
+// repeats slices heavily (a 200k LV pool holds ~64k distinct slices per
+// component). Per component it keys every row by the flat index of its
+// slice, read in place from the joint configuration, sorts and
+// de-duplicates the keys, and predicts each distinct slice once, in
+// ascending key order and in blocks of at most chunk_rows slices.
+// Neighbouring keys take the same tree paths, so this order also
+// predicts faster than pool order.
+//
+// Memory: no pool-sized feature matrix ever exists, so a pool of
+// millions of configurations is scored in bounded memory. The O(pool)
+// state is the score vector itself (8 bytes/row) plus, during a
+// low-fidelity pass, a transient (key, row) array of 16 bytes/row for
+// one component at a time; a block holds at most chunk_rows feature
+// rows and their predictions. Scores are bitwise equal to the per-row
+// Surrogate::predict / LowFidelityModel::score for any block size and
+// thread count, because featurization and both models are
+// row-independent and components fold in ascending j.
 #pragma once
 
 #include <functional>
@@ -31,6 +45,7 @@ class FeatureMatrix;
 
 namespace ceal::tuner {
 
+class ComponentModelSet;
 class LowFidelityModel;
 class Surrogate;
 
@@ -59,8 +74,19 @@ class PoolScorer {
   /// joint rows only).
   std::vector<double> surrogate_scores(const Surrogate& surrogate) const;
 
-  /// Low-fidelity combination-model scores for every pool configuration
-  /// (featurizes the per-component slices only).
+  /// Receives one pool row's value: sink(row, value).
+  using RowSink = std::function<void(std::size_t row, double value)>;
+
+  /// Component j's prediction at every pool row's slice c_j, passed to
+  /// `sink` once per row (rows in ascending slice-key order). Each
+  /// distinct slice is predicted once; each block of distinct slices
+  /// runs under a "pool.chunk" span, and `telemetry` also counts
+  /// "pool.distinct_slices".
+  void component_predictions(const ComponentModelSet& components,
+                             std::size_t j, const RowSink& sink) const;
+
+  /// Low-fidelity combination-model scores for every pool configuration:
+  /// component_predictions() folded in ascending j.
   std::vector<double> low_fidelity_scores(const LowFidelityModel& model)
       const;
 

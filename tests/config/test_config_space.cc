@@ -35,6 +35,17 @@ TEST(ConfigSpace, FlatIndexInvertsAt) {
   }
 }
 
+TEST(ConfigSpace, FlatIndexOfSpanReadsValuesInPlace) {
+  const auto s = small_space();
+  // A slice of a longer configuration, as pool scoring reads component
+  // slices out of joint configurations.
+  const std::vector<int> joint{7, 2, 20, 4, 9};
+  const std::span<const int> slice = std::span<const int>(joint).subspan(1, 3);
+  EXPECT_EQ(s.flat_index(slice), s.flat_index(Configuration{2, 20, 4}));
+  EXPECT_THROW(s.flat_index(std::span<const int>(joint)),
+               ceal::PreconditionError);
+}
+
 TEST(ConfigSpace, AtRejectsOutOfRangeIndex) {
   const auto s = small_space();
   EXPECT_THROW(s.at(s.raw_size()), ceal::PreconditionError);

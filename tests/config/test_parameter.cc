@@ -54,6 +54,28 @@ TEST(Parameter, IndexOfMissingValueThrows) {
   EXPECT_THROW(p.index_of(0), ceal::PreconditionError);
 }
 
+TEST(Parameter, IndexOfEvenlySpacedValuesMatchesPosition) {
+  // Evenly spaced values (any range(), or an explicit list like these)
+  // take the arithmetic path; it must agree with the value list and
+  // reject everything off the grid.
+  for (const Parameter& p :
+       {Parameter::range("outputs", 4, 32, 4), Parameter("x", {-6, -3, 0, 3}),
+        Parameter::range("procs", 7, 7)}) {
+    for (std::size_t i = 0; i < p.cardinality(); ++i) {
+      EXPECT_EQ(p.index_of(p.value(i)), i) << p.name();
+    }
+    const int first = p.values().front();
+    const int last = p.values().back();
+    EXPECT_THROW(p.index_of(first - 1), ceal::PreconditionError) << p.name();
+    EXPECT_THROW(p.index_of(last + 1), ceal::PreconditionError) << p.name();
+    EXPECT_THROW(p.index_of(last + 4), ceal::PreconditionError) << p.name();
+  }
+  EXPECT_THROW(Parameter::range("outputs", 4, 32, 4).index_of(6),
+               ceal::PreconditionError);
+  EXPECT_THROW(Parameter::range("x", 0, 10).index_of(-2147483647 - 1),
+               ceal::PreconditionError);
+}
+
 TEST(Parameter, Contains) {
   const Parameter p("tpp", {1, 2, 4});
   EXPECT_TRUE(p.contains(2));

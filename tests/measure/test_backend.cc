@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/rng.h"
@@ -143,6 +145,38 @@ TEST_F(MeasureBackendTest, HedgesOrRestartsPastHungWorkers) {
   EXPECT_EQ(stats.completed, 8u);
   EXPECT_GE(stats.restarts, 1u);
   EXPECT_EQ(stats.retired, 0u);
+  EXPECT_FALSE(backend.degraded());
+}
+
+TEST_F(MeasureBackendTest, LateHedgeLoserIsNotCountedOrRequeued) {
+  // Worker 0 hangs on every run it gets, so each of its runs is served
+  // by a hedge twin on worker 1. The runs go one at a time, so the
+  // first run worker 0 takes is the one run() is waiting for: run()
+  // returns the twin's result while worker 0 still holds the losing
+  // copy. Once the hang deadline has passed, the next run() reaps
+  // worker 0. That served run must not be counted again or re-queued.
+  ScopedEnv hang("CEAL_WORKER_HANG_AFTER", "0:0");
+  SubprocessOptions options = base_options();
+  options.hedge_after_s = 0.05;
+  options.hang_after_s = 0.5;
+  options.restart_backoff.initial_s = 0.001;
+  options.restart_backoff.max_s = 0.01;
+  SubprocessBackend backend(pool_, options);
+  std::size_t runs = 0;
+  const auto run_next = [&] {
+    const RawRun raw = backend.run(runs);
+    EXPECT_TRUE(bits_equal(raw.exec_s, pool_.exec_s[runs])) << runs;
+    ++runs;
+  };
+  while (backend.stats().hedges == 0 && runs < kPoolSize - 1) run_next();
+  ASSERT_GE(backend.stats().hedges, 1u);
+  std::this_thread::sleep_for(
+      std::chrono::duration<double>(options.hang_after_s + 0.1));
+  run_next();
+  const SubprocessStats& stats = backend.stats();
+  EXPECT_GE(stats.restarts, 1u);  // worker 0 was reaped past its deadline
+  EXPECT_EQ(stats.completed, runs);
+  EXPECT_EQ(stats.retries, 0u);
   EXPECT_FALSE(backend.degraded());
 }
 

@@ -2,13 +2,16 @@
 // equal to the per-row Surrogate::predict / LowFidelityModel::score at
 // any block size (including sizes that do not divide the pool and sizes
 // larger than it) and any thread count, and every tuner that scores the
-// pool must return the identical TuneResult at any block size.
+// pool must return the identical TuneResult at any block size. The
+// low-fidelity pass predicts each distinct component slice once; it is
+// checked on pools full of repeated slices and on pools without any.
 #include "tuner/pool_scorer.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "core/error.h"
@@ -67,7 +70,8 @@ class PoolScorerTest : public ::testing::Test {
     return surrogate;
   }
 
-  LowFidelityModel low_fidelity() const {
+  LowFidelityModel low_fidelity(
+      Objective objective = Objective::kExecTime) const {
     std::vector<std::vector<std::size_t>> indices(comps_.size());
     for (std::size_t j = 0; j < comps_.size(); ++j) {
       for (std::size_t s = 0; s < comps_[j].size(); ++s) {
@@ -76,8 +80,50 @@ class PoolScorerTest : public ::testing::Test {
     }
     ceal::Rng rng(9);
     auto components = std::make_shared<const ComponentModelSet>(
-        wl_.workflow, Objective::kExecTime, comps_, indices, rng);
-    return LowFidelityModel(wl_.workflow, Objective::kExecTime, components);
+        wl_.workflow, objective, comps_, indices, rng);
+    return LowFidelityModel(wl_.workflow, objective, components);
+  }
+
+  // The pool with every row repeated three times, interleaved.
+  std::vector<config::Configuration> repeated_pool() const {
+    std::vector<config::Configuration> out;
+    for (std::size_t copy = 0; copy < 3; ++copy) {
+      for (std::size_t i = 0; i < pool_.size(); ++i) {
+        out.push_back(pool_.configs[(i * 7 + copy) % pool_.size()]);
+      }
+    }
+    return out;
+  }
+
+  // 300 joint configurations whose slices are pairwise distinct in every
+  // component (row k takes flat index k * stride of each component
+  // space, so the keys also arrive out of order).
+  std::vector<config::Configuration> distinct_slice_pool() const {
+    const config::CompositeSpace& composite = wl_.workflow.space();
+    std::vector<config::Configuration> out;
+    for (std::size_t k = 0; k < 300; ++k) {
+      std::vector<config::Configuration> parts;
+      for (std::size_t j = 0; j < composite.component_count(); ++j) {
+        const config::ConfigSpace& space = composite.component_space(j);
+        parts.push_back(space.at((k * 7919) % space.raw_size()));
+      }
+      out.push_back(composite.join(parts));
+    }
+    return out;
+  }
+
+  // Distinct slices of `configs`, summed over components.
+  std::size_t distinct_slices(
+      const std::vector<config::Configuration>& configs) const {
+    std::size_t total = 0;
+    for (std::size_t j = 0; j < wl_.workflow.component_count(); ++j) {
+      std::set<config::Configuration> slices;
+      for (const auto& c : configs) {
+        slices.insert(wl_.workflow.space().slice(c, j));
+      }
+      total += slices.size();
+    }
+    return total;
   }
 
   TuningProblem problem() {
@@ -126,6 +172,81 @@ TEST_F(PoolScorerTest, LowFidelityScoresBitwiseEqualPerRowScore) {
       }
     }
   }
+}
+
+TEST_F(PoolScorerTest, DistinctSlicePassBitwiseEqualPerRowScore) {
+  const std::vector<std::vector<config::Configuration>> pools{
+      pool_.configs, repeated_pool(), distinct_slice_pool()};
+  ASSERT_EQ(distinct_slices(pools[2]), 2 * pools[2].size());
+  ASSERT_EQ(distinct_slices(pools[1]), distinct_slices(pools[0]));
+  for (const Objective objective :
+       {Objective::kExecTime, Objective::kComputerTime}) {
+    const LowFidelityModel model = low_fidelity(objective);
+    for (std::size_t p = 0; p < pools.size(); ++p) {
+      std::vector<double> want;
+      for (const auto& c : pools[p]) want.push_back(model.score(c));
+      for (const std::size_t threads : kThreadCounts) {
+        ceal::set_global_thread_pool_threads(threads);
+        for (const std::size_t block : {1, 77, 8192}) {
+          const PoolScorer scorer(wl_.workflow, pools[p], block, nullptr);
+          const auto got = scorer.low_fidelity_scores(model);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i], want[i])
+                << objective_name(objective) << ", pool " << p << ", block "
+                << block << ", threads " << threads << ", row " << i;
+          }
+        }
+      }
+      EXPECT_EQ(model.score_many(pools[p]), want) << "pool " << p;
+    }
+  }
+}
+
+TEST_F(PoolScorerTest, ComponentPredictionsMatchPerRowPredictOncePerRow) {
+  // The columns ALpH appends to its features: every row's prediction of
+  // every component, each row visited exactly once per component.
+  const LowFidelityModel model = low_fidelity();
+  const ComponentModelSet& components = model.components();
+  const std::vector<config::Configuration> configs = repeated_pool();
+  for (const std::size_t block : {1, 77, 8192}) {
+    const PoolScorer scorer(wl_.workflow, configs, block, nullptr);
+    for (std::size_t j = 0; j < components.component_count(); ++j) {
+      std::vector<int> visits(configs.size(), 0);
+      scorer.component_predictions(
+          components, j, [&](std::size_t row, double prediction) {
+            ASSERT_LT(row, configs.size());
+            ++visits[row];
+            ASSERT_EQ(prediction,
+                      components.predict(
+                          j, wl_.workflow.space().slice(configs[row], j)))
+                << "component " << j << ", block " << block << ", row "
+                << row;
+          });
+      EXPECT_EQ(visits, std::vector<int>(configs.size(), 1));
+    }
+  }
+}
+
+TEST_F(PoolScorerTest, LowFidelityPassCountsDistinctSlicesInBlocks) {
+  const std::vector<config::Configuration> configs = repeated_pool();
+  const LowFidelityModel model = low_fidelity();
+  telemetry::Telemetry tel;
+  const PoolScorer scorer(wl_.workflow, configs, 77, &tel);
+  scorer.low_fidelity_scores(model);
+  std::uint64_t chunks = 0;
+  for (std::size_t j = 0; j < wl_.workflow.component_count(); ++j) {
+    std::set<config::Configuration> slices;
+    for (const auto& c : configs) {
+      slices.insert(wl_.workflow.space().slice(c, j));
+    }
+    chunks += (slices.size() + 76) / 77;
+  }
+  const std::size_t distinct = distinct_slices(configs);
+  EXPECT_LT(distinct, 2 * configs.size());
+  EXPECT_EQ(tel.counter("pool.distinct_slices"), distinct);
+  EXPECT_EQ(tel.counter("pool.chunk.rows"), distinct);
+  EXPECT_EQ(tel.counter("pool.chunks"), chunks);
 }
 
 TEST_F(PoolScorerTest, CountsOneChunkPerBlockAndRejectsZeroBlockSize) {
